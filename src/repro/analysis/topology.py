@@ -17,7 +17,8 @@ import networkx as nx
 import numpy as np
 
 from ..clustering.base import ClusterState, Role
-from ..routing.inter_cluster import is_gateway
+from ..routing.inter_cluster import backbone_mask
+from ..spatial import adjacency_to_edges
 
 __all__ = [
     "gateway_nodes",
@@ -33,21 +34,13 @@ __all__ = [
 
 def gateway_nodes(state: ClusterState, adjacency: np.ndarray) -> np.ndarray:
     """Indices of all gateways (members with out-of-cluster neighbors)."""
-    adjacency = np.asarray(adjacency, dtype=bool)
-    return np.array(
-        [
-            node
-            for node in range(state.n_nodes)
-            if is_gateway(state, adjacency, node)
-        ],
-        dtype=int,
-    )
+    mask = backbone_mask(state, adjacency_to_edges(adjacency))
+    return np.flatnonzero(mask & (state.roles == Role.MEMBER))
 
 
 def backbone_nodes(state: ClusterState, adjacency: np.ndarray) -> np.ndarray:
     """Heads plus gateways — the nodes that forward inter-cluster floods."""
-    gateways = gateway_nodes(state, adjacency)
-    return np.union1d(state.heads(), gateways)
+    return np.flatnonzero(backbone_mask(state, adjacency_to_edges(adjacency)))
 
 
 def backbone_graph(state: ClusterState, adjacency: np.ndarray) -> nx.Graph:

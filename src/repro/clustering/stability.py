@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..sim.engine import Protocol, Simulation
+from ..routing.inter_cluster import backbone_mask
 from .base import Role
 from .maintenance import ClusterMaintenanceProtocol
 
@@ -204,20 +205,10 @@ class ClusterDynamicsCollector(Protocol):
 
     # ------------------------------------------------------------------
     def _gateway_set(self, sim: Simulation) -> frozenset[int]:
-        """Current gateways: members with a cross-cluster link.
-
-        Matches :func:`repro.routing.inter_cluster.is_gateway`, but
-        computed for all nodes at once from the live edge set.
-        """
+        """Current gateways: members with a cross-cluster link."""
         state = self.maintenance.state
-        edges = sim.edges
-        if len(edges) == 0:
-            return frozenset()
-        head_of = state.head_of
-        cross = head_of[edges[:, 0]] != head_of[edges[:, 1]]
-        endpoints = edges[cross].ravel()
-        members = endpoints[state.roles[endpoints] == Role.MEMBER]
-        return frozenset(int(n) for n in np.unique(members))
+        gateways = backbone_mask(state, sim.edges) & (state.roles == Role.MEMBER)
+        return frozenset(np.flatnonzero(gateways).tolist())
 
     def _mean_diameter(self, sim: Simulation) -> float:
         """Mean over clusters of the max intra-cluster node distance."""

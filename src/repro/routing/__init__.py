@@ -11,6 +11,7 @@ from .intra_cluster import IntraClusterRoutingProtocol
 from .inter_cluster import (
     BroadcastResult,
     DiscoveryResult,
+    backbone_mask,
     broadcast_flood,
     discover_route,
     is_gateway,
@@ -28,6 +29,7 @@ __all__ = [
     "IntraClusterRoutingProtocol",
     "BroadcastResult",
     "DiscoveryResult",
+    "backbone_mask",
     "broadcast_flood",
     "discover_route",
     "is_gateway",

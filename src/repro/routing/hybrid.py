@@ -8,7 +8,9 @@ Combines :class:`~repro.routing.intra_cluster.IntraClusterRoutingProtocol`
   marginal control cost;
 * cross-cluster traffic triggers a reactive discovery whose result is
   cached and invalidated when one of its links breaks (with an RERR
-  notification per surviving upstream hop, AODV-style).
+  notification per surviving upstream hop, AODV-style).  Cached routes
+  are indexed by undirected link, so a break touches only the routes
+  that use it; their RERRs still go out in cache-insertion order.
 
 ``route(src, dst)`` returns the path actually usable for data delivery;
 experiments use the message statistics to compare the hybrid total
@@ -49,6 +51,9 @@ class HybridRoutingProtocol(Protocol):
         self.maintenance = maintenance
         self.intra = intra
         self._cache: dict[tuple[int, int], list[int]] = {}
+        #: (u, v) with u < v -> keys of the cached routes using that
+        #: link, in cache-insertion order (dicts used as ordered sets).
+        self._routes_by_link: dict[tuple[int, int], dict[tuple[int, int], None]] = {}
         self.discoveries = 0
         self.cache_hits = 0
 
@@ -70,27 +75,28 @@ class HybridRoutingProtocol(Protocol):
         self.discoveries += 1
         if not result.found:
             return None
-        self._cache[(source, destination)] = result.path
+        key = (source, destination)
+        self._cache[key] = result.path
+        for link in _links(result.path):
+            self._routes_by_link.setdefault(link, {})[key] = None
         return result.path
 
     # ------------------------------------------------------------------
     def on_link_down(self, sim: Simulation, u: int, v: int, time: float) -> None:
         """Invalidate cached routes using the broken link, emitting RERRs."""
-        broken: list[tuple[int, int]] = []
-        for key, path in self._cache.items():
-            for a, b in zip(path, path[1:]):
-                if (a, b) in ((u, v), (v, u)):
-                    broken.append(key)
-                    break
-        for key in broken:
+        broken_link = (u, v) if u < v else (v, u)
+        for key in self._routes_by_link.pop(broken_link, {}):
             path = self._cache.pop(key)
-            # One RERR per upstream hop that must learn of the failure.
-            upstream = 0
-            for a, b in zip(path, path[1:]):
-                upstream += 1
-                if (a, b) in ((u, v), (v, u)):
-                    break
-            # One RERR transmission per upstream node of the break.
+            links = _links(path)
+            for link in links:
+                routes = self._routes_by_link.get(link)
+                if routes is not None:
+                    del routes[key]
+                    if not routes:
+                        del self._routes_by_link[link]
+            # One RERR transmission per upstream node of the break,
+            # the node in front of it included.
+            upstream = links.index(broken_link) + 1
             with attributed(
                 sim, CAUSE_LINK_BREAK_REPAIR, nodes=path[:upstream]
             ):
@@ -105,3 +111,8 @@ class HybridRoutingProtocol(Protocol):
     def cached_routes(self) -> int:
         """Number of currently cached cross-cluster routes."""
         return len(self._cache)
+
+
+def _links(path: list[int]) -> list[tuple[int, int]]:
+    """The undirected links ``(u, v)``, ``u < v``, of ``path`` in hop order."""
+    return [(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])]

@@ -12,6 +12,11 @@ retransmits an RREQ iff it is a cluster-head or a gateway (a member with
 a neighbor outside its own cluster).  Pure interior members stay silent,
 which is exactly the flooding reduction clustering buys.  The reply is
 unicast back along the discovered path.
+
+Floods walk :attr:`Simulation.neighbor_lists` (ascending, so the BFS
+visits nodes in the same order a walk over dense adjacency rows would)
+and take every node's forwarding flag from one :func:`backbone_mask`
+pass over the edge set.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .messages import rrep_bits, rreq_bits
 __all__ = [
     "DiscoveryResult",
     "BroadcastResult",
+    "backbone_mask",
     "is_gateway",
     "discover_route",
     "broadcast_flood",
@@ -63,18 +69,31 @@ class DiscoveryResult:
         return self.rreq_transmissions + self.rrep_transmissions
 
 
+def backbone_mask(state: ClusterState, edges: np.ndarray) -> np.ndarray:
+    """Per-node mask of the cluster backbone: heads plus gateways.
+
+    A gateway is a member with at least one neighbor outside its own
+    cluster (an unassigned neighbor, ``head_of == -1``, counts as
+    outside).  One vectorised pass over the ``(E, 2)`` edge array marks
+    every member endpoint of a cross-cluster link; heads are added from
+    ``state.roles``.  Unassigned nodes are never on the backbone.
+    """
+    roles = state.roles
+    mask = roles == Role.HEAD
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    head_of = state.head_of
+    ends = edges[head_of[edges[:, 0]] != head_of[edges[:, 1]]].ravel()
+    mask[ends[roles[ends] == Role.MEMBER]] = True
+    return mask
+
+
 def is_gateway(state: ClusterState, adjacency: np.ndarray, node: int) -> bool:
     """Whether ``node`` is a gateway (member with out-of-cluster neighbors)."""
-    if state.roles[node] != Role.MEMBER:
-        return False
-    my_head = state.head_of[node]
     neighbors = np.flatnonzero(adjacency[node])
-    return bool(np.any(state.head_of[neighbors] != my_head))
-
-
-def _forwards(state: ClusterState, adjacency: np.ndarray, node: int) -> bool:
-    """Whether ``node`` retransmits an RREQ (head or gateway)."""
-    return state.roles[node] == Role.HEAD or is_gateway(state, adjacency, node)
+    edges = np.column_stack((np.full(len(neighbors), node), neighbors))
+    return bool(
+        state.roles[node] == Role.MEMBER and backbone_mask(state, edges)[node]
+    )
 
 
 @dataclass(frozen=True)
@@ -109,21 +128,22 @@ def broadcast_flood(
     (blind flooding, the baseline).  Statistics are recorded under
     ``"broadcast"``.
     """
-    adjacency = sim.adjacency
+    neighbor_lists = sim.neighbor_lists
+    if state is None:
+        forwards = [True] * sim.n_nodes
+    else:
+        forwards = backbone_mask(state, sim.edges).tolist()
+        # The source always transmits, whatever its role.
+        forwards[source] = True
     reached: set[int] = {source}
     queue: deque[int] = deque([source])
     transmissions = 0
     while queue:
         current = queue.popleft()
-        if (
-            current != source
-            and state is not None
-            and not _forwards(state, adjacency, current)
-        ):
+        if not forwards[current]:
             continue
         transmissions += 1
-        for neighbor in np.flatnonzero(adjacency[current]):
-            neighbor = int(neighbor)
+        for neighbor in neighbor_lists[current]:
             if neighbor not in reached:
                 reached.add(neighbor)
                 queue.append(neighbor)
@@ -155,18 +175,20 @@ def discover_route(
     if source == destination:
         return DiscoveryResult(path=[source], rreq_transmissions=0, rrep_transmissions=0)
 
-    adjacency = sim.adjacency
+    neighbor_lists = sim.neighbor_lists
+    forwards = backbone_mask(state, sim.edges).tolist()
+    # The source always transmits, whatever its role.
+    forwards[source] = True
     parents: dict[int, int] = {source: source}
     queue: deque[int] = deque([source])
     transmissions = 0
     found = False
     while queue:
         current = queue.popleft()
-        if current != source and not _forwards(state, adjacency, current):
+        if not forwards[current]:
             continue
         transmissions += 1
-        for neighbor in np.flatnonzero(adjacency[current]):
-            neighbor = int(neighbor)
+        for neighbor in neighbor_lists[current]:
             if neighbor in parents:
                 continue
             parents[neighbor] = current

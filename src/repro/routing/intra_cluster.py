@@ -13,16 +13,22 @@ Attach order matters: this protocol must be attached *before* the
 cluster maintenance protocol so that, for a link break, it still sees
 the pre-repair membership (a member–head break is an intra-cluster
 change of the old cluster).
+
+The tables are computed lazily, one source at a time: a query BFSes
+only from the node it asks about and memoises the result until the
+next link event or membership change.  Every BFS of one clean period
+runs on a snapshot (neighbor lists, ``head_of``, ``roles``) taken when
+the period began, so the answers equal those of an all-pairs rebuild
+at that moment however late a source is first asked about.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from ..obs.attribution import CAUSE_INTRA_CLUSTER_UPDATE, attributed
 from ..sim.engine import Protocol, Simulation
+from ..clustering.base import Role
 from ..clustering.maintenance import ClusterMaintenanceProtocol
 from .messages import route_update_bits
 
@@ -71,7 +77,11 @@ class IntraClusterRoutingProtocol(Protocol):
         self.update_on_membership_change = update_on_membership_change
         self.topology = topology
         self._tables_dirty = True
-        self._next_hop: dict[tuple[int, int], int] = {}
+        #: source -> {destination: first hop}, filled lazily.
+        self._tables: dict[int, dict[int, int]] = {}
+        #: (neighbor lists, head_of, roles) taken when the current
+        #: clean period began.
+        self._snapshot: tuple[list[list[int]], list[int], list[int]] | None = None
         if update_on_membership_change:
             maintenance.add_change_listener(self._on_membership_change)
 
@@ -113,34 +123,44 @@ class IntraClusterRoutingProtocol(Protocol):
     # ------------------------------------------------------------------
     # Actual routing tables
     # ------------------------------------------------------------------
-    def _rebuild_tables(self, sim: Simulation) -> None:
-        """Recompute next hops over every cluster subgraph (BFS)."""
-        self._next_hop = {}
-        state = self.maintenance.state
-        adjacency = sim.adjacency
-        for head in state.heads():
-            nodes = state.cluster_nodes(int(head))
-            node_set = set(int(x) for x in nodes)
-            for source in node_set:
-                # BFS restricted to the cluster subgraph.
-                parents = {source: source}
-                queue = deque([source])
-                while queue:
-                    current = queue.popleft()
-                    for neighbor in np.flatnonzero(adjacency[current]):
-                        neighbor = int(neighbor)
-                        if neighbor in node_set and neighbor not in parents:
-                            parents[neighbor] = current
-                            queue.append(neighbor)
-                for destination, parent in parents.items():
-                    if destination == source:
-                        continue
-                    # Walk back to find the first hop from source.
-                    hop = destination
-                    while parents[hop] != source:
-                        hop = parents[hop]
-                    self._next_hop[(source, destination)] = hop
-        self._tables_dirty = False
+    def _source_table(self, sim: Simulation, source: int) -> dict[int, int]:
+        """``source``'s table: first hop to every cluster node it reaches."""
+        if self._tables_dirty:
+            state = self.maintenance.state
+            self._tables = {}
+            self._snapshot = (
+                sim.neighbor_lists,
+                state.head_of.tolist(),
+                state.roles.tolist(),
+            )
+            self._tables_dirty = False
+        table = self._tables.get(source)
+        if table is None:
+            table = self._tables[source] = self._bfs(source)
+        return table
+
+    def _bfs(self, source: int) -> dict[int, int]:
+        """BFS restricted to ``source``'s cluster on the clean-time snapshot.
+
+        Neighbors are visited in ascending order, so the first hops
+        equal those of the dense all-pairs BFS this replaces.  A node
+        whose head is unassigned or not a head has no table.
+        """
+        neighbor_lists, head_of, roles = self._snapshot
+        head = head_of[source]
+        if head < 0 or roles[head] != Role.HEAD:
+            return {}
+        first_hop = {source: source}
+        queue = deque([source])
+        while queue:
+            current = queue.popleft()
+            via = first_hop[current]
+            for neighbor in neighbor_lists[current]:
+                if neighbor not in first_hop and head_of[neighbor] == head:
+                    first_hop[neighbor] = neighbor if via == source else via
+                    queue.append(neighbor)
+        del first_hop[source]
+        return first_hop
 
     def next_hop(self, sim: Simulation, source: int, destination: int) -> int | None:
         """Next hop from ``source`` toward ``destination`` inside a cluster.
@@ -149,9 +169,7 @@ class IntraClusterRoutingProtocol(Protocol):
         or the cluster subgraph does not connect them (members of a
         one-hop cluster may be mutually unreachable without the head).
         """
-        if self._tables_dirty:
-            self._rebuild_tables(sim)
-        return self._next_hop.get((source, destination))
+        return self._source_table(sim, source).get(destination)
 
     def path(self, sim: Simulation, source: int, destination: int) -> list[int] | None:
         """Full intra-cluster path, or ``None`` when not routable."""
@@ -174,6 +192,4 @@ class IntraClusterRoutingProtocol(Protocol):
 
         The paper notes storage is proportional to the cluster size.
         """
-        if self._tables_dirty:
-            self._rebuild_tables(sim)
-        return sum(1 for (src, _dst) in self._next_hop if src == node)
+        return len(self._source_table(sim, node))

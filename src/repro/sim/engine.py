@@ -10,8 +10,10 @@ consecutive edge sets into link generation/break events in
 attached protocols (HELLO beaconing, clustering maintenance, routing).
 A dense boolean :attr:`Simulation.adjacency` view is still available
 for consumers that index into a matrix; it is materialized lazily from
-the edge set and cached until the next step.  Message accounting flows
-into a shared :class:`~repro.sim.stats.MessageStats`.
+the edge set and cached until the next step.  Graph walks use the
+ascending per-node :attr:`Simulation.neighbor_lists`, built and cached
+the same way.  Message accounting flows into a shared
+:class:`~repro.sim.stats.MessageStats`.
 
 The kernel is fully instrumented (see :mod:`repro.obs`): every step
 charges its phases (mobility advance, adjacency recompute, link diff,
@@ -48,6 +50,7 @@ from ..spatial import (
     degree_counts_from_edges,
     diff_edge_sets,
     edges_to_adjacency,
+    edges_to_neighbor_lists,
     select_connectivity_method,
 )
 from .stats import MessageStats
@@ -265,7 +268,6 @@ class Simulation:
         #: step; the incremental fast-path events are only valid when no
         #: external masking happened on either side of the diff.
         self._prev_all_active = True
-        #: Primary connectivity state: sorted (E, 2) edge array, i < j.
         if self._incremental is not None:
             initial = self._incremental.step(self.mobility.positions).edges
         else:
@@ -277,7 +279,6 @@ class Simulation:
                 method=connectivity,
             )
         self.edges = self._mask_failed(initial)
-        self._adjacency_cache: np.ndarray | None = None
         logger.debug(
             "sim %d: N=%d side=%.4g r=%.4g v=%.4g dt=%.4g seed=%s",
             self.sim_id,
@@ -404,6 +405,22 @@ class Simulation:
         return self.mobility.positions
 
     @property
+    def edges(self) -> np.ndarray:
+        """Primary connectivity state: sorted ``(E, 2)`` edge array, i < j.
+
+        Assigning a new edge set drops the derived views
+        (:attr:`adjacency`, :attr:`neighbor_lists`), so they are rebuilt
+        from it on next access.
+        """
+        return self._edges
+
+    @edges.setter
+    def edges(self, edges: np.ndarray) -> None:
+        self._edges = edges
+        self._adjacency_cache: np.ndarray | None = None
+        self._neighbor_lists_cache: list[list[int]] | None = None
+
+    @property
     def adjacency(self) -> np.ndarray:
         """Dense boolean adjacency view of the live edge set.
 
@@ -415,6 +432,22 @@ class Simulation:
                 self.edges, self.params.n_nodes
             )
         return self._adjacency_cache
+
+    @property
+    def neighbor_lists(self) -> list[list[int]]:
+        """Ascending Python neighbor lists of the live edge set.
+
+        ``neighbor_lists[u]`` lists ``u``'s neighbors in the same order
+        as ``np.flatnonzero(adjacency[u])``, so graph walks over it
+        visit nodes exactly as walks over the dense view do, without
+        its ``O(N^2)`` build or per-row scans.  Built lazily and cached
+        until the next step; treat it as read-only.
+        """
+        if self._neighbor_lists_cache is None:
+            self._neighbor_lists_cache = edges_to_neighbor_lists(
+                self.edges, self.params.n_nodes
+            )
+        return self._neighbor_lists_cache
 
     @property
     def edge_count(self) -> int:
@@ -589,7 +622,6 @@ class Simulation:
         timer.add("link_diff", t3 - t2)
         self._prev_all_active = all_active
         self.edges = new_edges
-        self._adjacency_cache = None
         self.time += self.dt
         self.stats.advance_time(self.dt)
 

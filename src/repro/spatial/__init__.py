@@ -16,6 +16,7 @@ from .neighbors import (
     diff_adjacency,
     diff_edge_sets,
     edges_to_adjacency,
+    edges_to_neighbor_lists,
     select_connectivity_method,
 )
 
@@ -37,5 +38,6 @@ __all__ = [
     "diff_adjacency",
     "diff_edge_sets",
     "edges_to_adjacency",
+    "edges_to_neighbor_lists",
     "select_connectivity_method",
 ]

@@ -43,6 +43,7 @@ __all__ = [
     "diff_adjacency",
     "diff_edge_sets",
     "edges_to_adjacency",
+    "edges_to_neighbor_lists",
     "select_connectivity_method",
 ]
 
@@ -161,6 +162,20 @@ def edges_to_adjacency(edges: np.ndarray, n_nodes: int) -> np.ndarray:
         adj[edges[:, 0], edges[:, 1]] = True
         adj[edges[:, 1], edges[:, 0]] = True
     return adj
+
+
+def edges_to_neighbor_lists(edges: np.ndarray, n_nodes: int) -> list[list[int]]:
+    """Ascending per-node neighbor lists of an ``(E, 2)`` edge array."""
+    if n_nodes < 0:
+        raise ValueError(f"n_nodes must be non-negative, got {n_nodes}")
+    edges = _as_edge_array(edges)
+    sources = np.concatenate((edges[:, 0], edges[:, 1]))
+    targets = np.concatenate((edges[:, 1], edges[:, 0]))
+    order = np.lexsort((targets, sources))
+    flat = targets[order].tolist()
+    ends = np.cumsum(np.bincount(sources, minlength=n_nodes)).tolist()
+    starts = [0, *ends[:-1]]
+    return [flat[start:end] for start, end in zip(starts, ends)]
 
 
 def compute_edges(

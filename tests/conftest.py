@@ -9,6 +9,18 @@ from repro.core.params import MessageSizes, NetworkParameters
 from repro.spatial import Boundary, SquareRegion
 
 
+def _remove_links(sim, links) -> None:
+    """Delete ``links`` (pairs in either orientation) from ``sim.edges``.
+
+    The edge set is the simulation's source of truth; assigning the
+    filtered set drops the cached dense and neighbor-list views, so
+    every consumer sees the cut from its next access on.
+    """
+    cut = {(min(u, v), max(u, v)) for u, v in links}
+    keep = [(int(u), int(v)) not in cut for u, v in sim.edges]
+    sim.edges = sim.edges[np.asarray(keep, dtype=bool)]
+
+
 @pytest.fixture
 def params() -> NetworkParameters:
     """A mid-sized parameter point used across unit tests."""
@@ -50,3 +62,9 @@ def small_adjacency() -> np.ndarray:
     for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]:
         adj[u, v] = adj[v, u] = True
     return adj
+
+
+@pytest.fixture
+def remove_links():
+    """``remove_links(sim, links)``: cut links out of a simulation's edges."""
+    return _remove_links

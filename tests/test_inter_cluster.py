@@ -86,11 +86,10 @@ class TestDiscovery:
         # must be strictly cheaper (that is its purpose).
         assert result.rreq_transmissions < sim.n_nodes
 
-    def test_unreachable_destination(self, clustered_sim):
+    def test_unreachable_destination(self, clustered_sim, remove_links):
         sim, maintenance = clustered_sim
         # Disconnect node 7 completely.
-        sim.adjacency[7, :] = False
-        sim.adjacency[:, 7] = False
+        remove_links(sim, [(7, int(v)) for v in sim.neighbors_of(7)])
         result = discover_route(sim, maintenance.state, 0, 7, record_stats=False)
         assert not result.found
         assert result.path is None

@@ -11,6 +11,8 @@ from repro.mobility import EpochRandomWaypointModel
 from repro.routing import IntraClusterRoutingProtocol
 from repro.sim import Simulation
 
+from reference_routing import DenseIntraClusterRouting
+
 
 def _stack(n=80, rf=0.2, vf=0.05, seed=0, **intra_kwargs):
     params = NetworkParameters.from_fractions(
@@ -155,3 +157,56 @@ class TestRoutingTables:
         # The head reaches every member (one-hop), so its table holds
         # the full cluster.
         assert intra.table_size(sim, head) == len(cluster) - 1
+
+
+class TestLazyTables:
+    def _multi_hop_pair(self, sim, maintenance):
+        """A same-cluster pair whose intra-cluster path has >= 2 hops."""
+        state = maintenance.state
+        for head in state.heads():
+            nodes = [int(x) for x in state.cluster_nodes(int(head))]
+            for a in nodes:
+                for b in nodes:
+                    if a != b and not sim.has_link(a, b):
+                        return a, b
+        pytest.skip("no cluster with a non-adjacent pair")
+
+    def test_path_searches_only_from_sources_on_the_path(self, monkeypatch):
+        sim, maintenance, intra = _stack(n=120, vf=0.0, seed=11)
+        a, b = self._multi_hop_pair(sim, maintenance)
+        searched = []
+        bfs = intra._bfs
+
+        def recording_bfs(source):
+            searched.append(source)
+            return bfs(source)
+
+        monkeypatch.setattr(intra, "_bfs", recording_bfs)
+        path = intra.path(sim, a, b)
+        assert path is not None and len(path) >= 3
+        # One BFS per forwarding node of the path, none for any other
+        # node or cluster; a repeat query is served from the memo.
+        assert searched == path[:-1]
+        assert intra.path(sim, a, b) == path
+        assert searched == path[:-1]
+        # A link event starts a new clean period.
+        intra.on_link_up(sim, a, b, 0.0)
+        assert intra.path(sim, a, b) == path
+        assert searched == path[:-1] * 2
+
+    def test_late_source_sees_clean_time_snapshot(self):
+        sim, maintenance, intra = _stack(n=120, vf=0.0, seed=12)
+        dense = DenseIntraClusterRouting(maintenance)
+        state = maintenance.state
+        member = int(np.flatnonzero(state.roles == Role.MEMBER)[0])
+        head = int(state.head_of[member])
+        # Both tables go clean before the structure changes under them.
+        assert intra.next_hop(sim, member, head) == head
+        assert dense.next_hop(sim, member, head) == head
+        others = [int(x) for x in state.cluster_nodes(head) if x != member]
+        state.make_head(member)
+        nodes = [member, *others]
+        for u in nodes:
+            assert intra.table_size(sim, u) == dense.table_size(sim, u)
+            for v in nodes:
+                assert intra.next_hop(sim, u, v) == dense.next_hop(sim, u, v)
