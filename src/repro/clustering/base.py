@@ -25,6 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "HEAD",
+    "MEMBER",
+    "UNASSIGNED",
     "Role",
     "ClusterState",
     "ClusteringAlgorithm",
@@ -38,6 +41,13 @@ class Role(enum.IntEnum):
     UNASSIGNED = 0
     MEMBER = 1
     HEAD = 2
+
+
+# Plain-int role values for per-event code: every ``Role.X`` lookup is
+# an enum-class attribute access, far slower than a module global.
+UNASSIGNED = int(Role.UNASSIGNED)
+MEMBER = int(Role.MEMBER)
+HEAD = int(Role.HEAD)
 
 
 @dataclass
@@ -64,7 +74,7 @@ class ClusterState:
         if n < 1:
             raise ValueError(f"node count must be positive, got {n}")
         return cls(
-            roles=np.full(n, Role.UNASSIGNED, dtype=np.int8),
+            roles=np.full(n, UNASSIGNED, dtype=np.int8),
             head_of=np.full(n, -1, dtype=np.int64),
         )
 
@@ -78,16 +88,16 @@ class ClusterState:
     # ------------------------------------------------------------------
     def make_head(self, node: int) -> None:
         """Declare ``node`` a cluster-head of its own cluster."""
-        self.roles[node] = Role.HEAD
+        self.roles[node] = HEAD
         self.head_of[node] = node
 
     def make_member(self, node: int, head: int) -> None:
         """Affiliate ``node`` to cluster-head ``head``."""
-        if self.roles[head] != Role.HEAD:
+        if self.roles[head] != HEAD:
             raise ValueError(f"node {head} is not a cluster-head")
         if node == head:
             raise ValueError("a head cannot be its own member")
-        self.roles[node] = Role.MEMBER
+        self.roles[node] = MEMBER
         self.head_of[node] = head
 
     # ------------------------------------------------------------------
@@ -95,21 +105,20 @@ class ClusterState:
     # ------------------------------------------------------------------
     def is_head(self, node: int) -> bool:
         """Whether ``node`` is a cluster-head."""
-        return self.roles[node] == Role.HEAD
+        return self.roles[node] == HEAD
 
     def heads(self) -> np.ndarray:
         """Indices of all cluster-heads."""
-        return np.flatnonzero(self.roles == Role.HEAD)
+        return np.flatnonzero(self.roles == HEAD)
 
     def members_of(self, head: int) -> np.ndarray:
         """Member indices of the cluster headed by ``head`` (excl. the head)."""
-        return np.flatnonzero(
-            (self.head_of == head) & (np.arange(self.n_nodes) != head)
-        )
+        nodes = np.flatnonzero(self.head_of == head)
+        return nodes[nodes != head]
 
     def cluster_count(self) -> int:
         """Number of clusters (= number of heads)."""
-        return int(np.sum(self.roles == Role.HEAD))
+        return int(np.sum(self.roles == HEAD))
 
     def head_ratio(self) -> float:
         """Measured cluster-head ratio ``P`` = heads / nodes."""
@@ -118,9 +127,11 @@ class ClusterState:
     def cluster_sizes(self) -> np.ndarray:
         """Sizes (head included) of all clusters, sorted by head id."""
         heads = self.heads()
-        return np.array(
-            [1 + len(self.members_of(int(h))) for h in heads], dtype=int
+        counts = np.bincount(
+            self.head_of[self.head_of >= 0], minlength=self.n_nodes
         )
+        # A head counts itself even where ``head_of`` does not say so.
+        return counts[heads] + (self.head_of[heads] != heads)
 
     def same_cluster(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` belong to the same cluster."""
@@ -191,9 +202,7 @@ def sequential_formation(
     for node in order:
         node = int(node)
         neighbor_idx = np.flatnonzero(adjacency[node])
-        head_neighbors = neighbor_idx[
-            state.roles[neighbor_idx] == Role.HEAD
-        ]
+        head_neighbors = neighbor_idx[state.roles[neighbor_idx] == HEAD]
         if len(head_neighbors):
             best = int(head_neighbors[np.argmax(priority[head_neighbors])])
             state.make_member(node, best)

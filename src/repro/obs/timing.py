@@ -2,8 +2,9 @@
 
 The simulation kernel charges every step's work to named phases —
 ``mobility`` (model advance), ``adjacency`` (unit-disk recompute),
-``link_diff`` (event extraction) and one ``protocol:<name>`` phase per
-attached protocol — into a :class:`PhaseTimer`.  A timer can be private
+``link_diff`` (event extraction and the neighbor-list update) and one
+``protocol:<name>`` phase per attached protocol — into a
+:class:`PhaseTimer`.  A timer can be private
 to one :class:`~repro.sim.engine.Simulation` or shared through the
 ambient observability context (see :mod:`repro.obs.context`) so that a
 whole sweep or benchmark accumulates a single breakdown.

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from ..obs.attribution import CAUSE_INTRA_CLUSTER_UPDATE, attributed
 from ..sim.engine import Protocol, Simulation
-from ..clustering.base import Role
+from ..clustering.base import HEAD
 from ..clustering.maintenance import ClusterMaintenanceProtocol
 from .messages import route_update_bits
 
@@ -90,11 +92,13 @@ class IntraClusterRoutingProtocol(Protocol):
     # ------------------------------------------------------------------
     def _broadcast_round(self, sim: Simulation, head: int) -> None:
         """One update round: every node of ``head``'s cluster transmits."""
-        cluster = self.maintenance.state.cluster_nodes(head)
-        size = len(cluster)
+        state = self.maintenance.state
+        size = int(np.count_nonzero(state.head_of == head))
         entries = size if self.full_table else 1
         bits = route_update_bits(sim.params.messages, entries)
-        # One transmission per cluster node, charged to each evenly.
+        # One transmission per cluster node, charged to each evenly; only
+        # the attribution ledger needs to know which nodes those are.
+        cluster = None if sim.attribution is None else state.cluster_nodes(head)
         with attributed(
             sim, CAUSE_INTRA_CLUSTER_UPDATE, nodes=cluster, cluster=int(head)
         ):
@@ -148,7 +152,7 @@ class IntraClusterRoutingProtocol(Protocol):
         """
         neighbor_lists, head_of, roles = self._snapshot
         head = head_of[source]
-        if head < 0 or roles[head] != Role.HEAD:
+        if head < 0 or roles[head] != HEAD:
             return {}
         first_hop = {source: source}
         queue = deque([source])

@@ -11,16 +11,17 @@ attached protocols (HELLO beaconing, clustering maintenance, routing).
 A dense boolean :attr:`Simulation.adjacency` view is still available
 for consumers that index into a matrix; it is materialized lazily from
 the edge set and cached until the next step.  Graph walks use the
-ascending per-node :attr:`Simulation.neighbor_lists`, built and cached
-the same way.  Message accounting flows into a shared
-:class:`~repro.sim.stats.MessageStats`.
+ascending per-node :attr:`Simulation.neighbor_lists`, built once and
+then kept current from each step's link events.  Message accounting
+flows into a shared :class:`~repro.sim.stats.MessageStats`.
 
 The kernel is fully instrumented (see :mod:`repro.obs`): every step
-charges its phases (mobility advance, adjacency recompute, link diff,
-each protocol's hooks) to a :class:`~repro.obs.timing.PhaseTimer`, and
-a tracer — the no-op null tracer unless one is configured explicitly or
-through the ambient observability context — receives structured
-``step`` / ``link_up`` / ``link_down`` / ``msg_tx`` events.
+charges its phases (mobility advance, adjacency recompute, link diff
+and its application to the neighbor lists, each protocol's hooks) to a
+:class:`~repro.obs.timing.PhaseTimer`, and a tracer — the no-op null
+tracer unless one is configured explicitly or through the ambient
+observability context — receives structured ``step`` / ``link_up`` /
+``link_down`` / ``msg_tx`` events.
 
 The step size must be small enough that a link is unlikely to appear
 *and* disappear within one step; :func:`recommended_step` provides the
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from bisect import insort
 from time import perf_counter
 
 import numpy as np
@@ -140,6 +142,48 @@ class Protocol:
         :meth:`Simulation.notify_run_end`) — the hook run-health
         protocols use to flush partial windows and emit final verdicts.
         """
+
+
+def _overridden_hooks(protocols, hook_name: str) -> list:
+    """``(index, bound hook)`` of every protocol whose hook is not a no-op.
+
+    A hook left at :class:`Protocol`'s empty default is skipped.  Hooks
+    are resolved on every step, not at attach, so a hook replaced on
+    the instance later (a wrapper, say) is the one that fires.
+    """
+    default = getattr(Protocol, hook_name)
+    hooks = []
+    for index, protocol in enumerate(protocols):
+        hook = getattr(protocol, hook_name)
+        if getattr(hook, "__func__", None) is not default:
+            hooks.append((index, hook))
+    return hooks
+
+
+def _apply_link_events(
+    lists: list[list[int]],
+    broken: list[list[int]],
+    generated: list[list[int]],
+) -> list[list[int]]:
+    """Neighbor lists after ``broken``/``generated``, copy-on-write.
+
+    Returns a new outer list in which every row an event touches is a
+    fresh copy, kept ascending; ``lists`` and its rows are unchanged.
+    """
+    new = list(lists)
+    for pairs in (broken, generated):
+        for u, v in pairs:
+            if new[u] is lists[u]:
+                new[u] = lists[u][:]
+            if new[v] is lists[v]:
+                new[v] = lists[v][:]
+    for u, v in broken:
+        new[u].remove(v)
+        new[v].remove(u)
+    for u, v in generated:
+        insort(new[u], v)
+        insort(new[v], u)
+    return new
 
 
 class Simulation:
@@ -279,6 +323,8 @@ class Simulation:
                 method=connectivity,
             )
         self.edges = self._mask_failed(initial)
+        # The first step's events diff this edge set (see _advance_edges).
+        self._edges_from_step = True
         logger.debug(
             "sim %d: N=%d side=%.4g r=%.4g v=%.4g dt=%.4g seed=%s",
             self.sim_id,
@@ -419,6 +465,7 @@ class Simulation:
         self._edges = edges
         self._adjacency_cache: np.ndarray | None = None
         self._neighbor_lists_cache: list[list[int]] | None = None
+        self._edges_from_step = False
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -440,8 +487,16 @@ class Simulation:
         ``neighbor_lists[u]`` lists ``u``'s neighbors in the same order
         as ``np.flatnonzero(adjacency[u])``, so graph walks over it
         visit nodes exactly as walks over the dense view do, without
-        its ``O(N^2)`` build or per-row scans.  Built lazily and cached
-        until the next step; treat it as read-only.
+        its ``O(N^2)`` build or per-row scans.
+
+        Built from the edge set on first access; after that each step
+        updates it from its link events in ``O(events)`` instead of
+        rebuilding it, and the result equals a rebuild.  The update is
+        copy-on-write: a step installs a new outer list holding fresh
+        copies of the rows it touched, so a list obtained earlier keeps
+        describing the topology it was taken at.  Assigning
+        :attr:`edges` drops it, and the next access rebuilds.  Treat
+        the lists as read-only.
         """
         if self._neighbor_lists_cache is None:
             self._neighbor_lists_cache = edges_to_neighbor_lists(
@@ -459,8 +514,8 @@ class Simulation:
         return degree_counts_from_edges(self.edges, self.params.n_nodes)
 
     def neighbors_of(self, node: int) -> np.ndarray:
-        """Current neighbor indices of ``node`` from the live adjacency."""
-        return np.flatnonzero(self.adjacency[node])
+        """Current neighbor indices of ``node``, ascending."""
+        return np.array(self.neighbor_lists[node], dtype=np.intp)
 
     def degree_of(self, node: int) -> int:
         """Current degree of ``node``."""
@@ -619,9 +674,13 @@ class Simulation:
             events = diff_edge_sets(self.edges, new_edges)
             t3 = perf_counter()
             timer.add("adjacency", t2 - t1)
-        timer.add("link_diff", t3 - t2)
         self._prev_all_active = all_active
-        self.edges = new_edges
+        # Applying the diff to the neighbor index is charged to the diff.
+        t4 = perf_counter()
+        broken = events.broken.tolist()
+        generated = events.generated.tolist()
+        self._advance_edges(new_edges, broken, generated)
+        timer.add("link_diff", (t3 - t2) + (perf_counter() - t4))
         self.time += self.dt
         self.stats.advance_time(self.dt)
 
@@ -633,14 +692,10 @@ class Simulation:
 
         tracer = self.tracer
         if tracer.enabled:
-            for u, v in events.broken:
-                tracer.emit(
-                    "link_down", self.time, sim=self.sim_id, u=int(u), v=int(v)
-                )
-            for u, v in events.generated:
-                tracer.emit(
-                    "link_up", self.time, sim=self.sim_id, u=int(u), v=int(v)
-                )
+            for u, v in broken:
+                tracer.emit("link_down", self.time, sim=self.sim_id, u=u, v=v)
+            for u, v in generated:
+                tracer.emit("link_up", self.time, sim=self.sim_id, u=u, v=v)
 
         track_spans = tracer.enabled
         if track_spans:
@@ -652,26 +707,25 @@ class Simulation:
 
         protocols = self._protocols
         if protocols:
+            time = self.time
             spent = [0.0] * len(protocols)
             for index, protocol in enumerate(protocols):
                 h0 = perf_counter()
-                protocol.on_step_begin(self, self.time)
+                protocol.on_step_begin(self, time)
                 spent[index] += perf_counter() - h0
-            for u, v in events.broken:
-                u, v = int(u), int(v)
-                for index, protocol in enumerate(protocols):
-                    h0 = perf_counter()
-                    protocol.on_link_down(self, u, v, self.time)
-                    spent[index] += perf_counter() - h0
-            for u, v in events.generated:
-                u, v = int(u), int(v)
-                for index, protocol in enumerate(protocols):
-                    h0 = perf_counter()
-                    protocol.on_link_up(self, u, v, self.time)
-                    spent[index] += perf_counter() - h0
+            for pairs, hook_name in (
+                (broken, "on_link_down"),
+                (generated, "on_link_up"),
+            ):
+                hooks = _overridden_hooks(protocols, hook_name)
+                for u, v in pairs:
+                    for index, hook in hooks:
+                        h0 = perf_counter()
+                        hook(self, u, v, time)
+                        spent[index] += perf_counter() - h0
             for index, protocol in enumerate(protocols):
                 h0 = perf_counter()
-                protocol.on_step_end(self, self.time)
+                protocol.on_step_end(self, time)
                 spent[index] += perf_counter() - h0
             for protocol, seconds in zip(protocols, spent):
                 timer.add(f"protocol:{protocol.name}", seconds)
@@ -689,6 +743,29 @@ class Simulation:
                 measuring=self.stats.measuring,
             )
         return events
+
+    def _advance_edges(
+        self,
+        new_edges: np.ndarray,
+        broken: list[list[int]],
+        generated: list[list[int]],
+    ) -> None:
+        """Install a step's edge set, carrying built neighbor lists over.
+
+        ``broken``/``generated`` diff the previous edge set against
+        ``new_edges``.  That holds for the edge set the last step
+        installed, but not for one assigned from outside: the
+        incremental engine diffs against its own previous snapshot.  So
+        lists are only carried over from a step-installed edge set, and
+        otherwise rebuilt on next access.
+        """
+        lists = self._neighbor_lists_cache if self._edges_from_step else None
+        self.edges = new_edges
+        self._edges_from_step = True
+        if lists is not None:
+            self._neighbor_lists_cache = _apply_link_events(
+                lists, broken, generated
+            )
 
     def run(self, duration: float, warmup: float = 0.0) -> MessageStats:
         """Run ``warmup`` unmeasured time then ``duration`` measured time.

@@ -21,6 +21,19 @@ def _remove_links(sim, links) -> None:
     sim.edges = sim.edges[np.asarray(keep, dtype=bool)]
 
 
+def _add_links(sim, links) -> None:
+    """Insert ``links`` (pairs in either orientation) into ``sim.edges``.
+
+    The counterpart of :func:`_remove_links`: the result stays a sorted,
+    duplicate-free ``(E, 2)`` array with ``i < j``, and assigning it
+    drops the cached views.
+    """
+    added = np.array(
+        [(min(u, v), max(u, v)) for u, v in links], dtype=sim.edges.dtype
+    ).reshape(-1, 2)
+    sim.edges = np.unique(np.concatenate((sim.edges, added)), axis=0)
+
+
 @pytest.fixture
 def params() -> NetworkParameters:
     """A mid-sized parameter point used across unit tests."""
@@ -68,3 +81,9 @@ def small_adjacency() -> np.ndarray:
 def remove_links():
     """``remove_links(sim, links)``: cut links out of a simulation's edges."""
     return _remove_links
+
+
+@pytest.fixture
+def add_links():
+    """``add_links(sim, links)``: insert links into a simulation's edges."""
+    return _add_links

@@ -64,14 +64,14 @@ class TestOverheadAccounting:
         intra.on_link_up(sim, min(u, v), max(u, v), 0.0)
         assert sim.stats.message_count("route") == 0
 
-    def test_membership_change_updates_optional(self):
+    def test_membership_change_updates_optional(self, remove_links):
         sim, maintenance, intra = _stack(
             vf=0.0, seed=3, update_on_membership_change=True
         )
         state = maintenance.state
         member = int(np.flatnonzero(state.roles == Role.MEMBER)[0])
         head = int(state.head_of[member])
-        sim.adjacency[member, head] = sim.adjacency[head, member] = False
+        remove_links(sim, [(member, head)])
         sim.stats.start_measuring()
         # Deliver in attach order: intra first (old cluster flood), then
         # maintenance (re-affiliation) which triggers the listener.

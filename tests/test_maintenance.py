@@ -88,7 +88,7 @@ class TestMessageAccounting:
             * sim.params.messages.p_cluster
         )
 
-    def test_member_head_break_sends_one_message(self):
+    def test_member_head_break_sends_one_message(self, remove_links):
         """Manufacture a member-head break and count exactly 1 CLUSTER."""
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=6)
         state = maintenance.state
@@ -97,14 +97,14 @@ class TestMessageAccounting:
         # rather than becoming a head; either way it is one message).
         member = int(members[0])
         head = int(state.head_of[member])
-        sim.adjacency[member, head] = sim.adjacency[head, member] = False
+        remove_links(sim, [(member, head)])
         sim.stats.start_measuring()
         maintenance.on_link_down(sim, min(member, head), max(member, head), 0.0)
         assert sim.stats.message_count("cluster") == 1
         # The member found a new affiliation.
         assert state.head_of[member] != head or state.is_head(member)
 
-    def test_head_merge_sends_cluster_size_messages(self):
+    def test_head_merge_sends_cluster_size_messages(self, add_links):
         """A P1 violation re-affiliates the loser's whole cluster."""
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=7)
         state = maintenance.state
@@ -113,7 +113,7 @@ class TestMessageAccounting:
         # Pick the two heads and force a link-up between them.
         winner, loser = int(heads[0]), int(heads[1])  # lid: lower id wins
         loser_cluster_size = len(state.cluster_nodes(loser))
-        sim.adjacency[winner, loser] = sim.adjacency[loser, winner] = True
+        add_links(sim, [(winner, loser)])
         sim.stats.start_measuring()
         maintenance.on_link_up(sim, winner, loser, 0.0)
         # Loser resigns (1 message) + each former member re-affiliates.
@@ -121,7 +121,7 @@ class TestMessageAccounting:
         assert not state.is_head(loser)
         assert check_properties(maintenance.state, sim.adjacency).ok
 
-    def test_irrelevant_link_events_are_free(self):
+    def test_irrelevant_link_events_are_free(self, add_links):
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=8)
         state = maintenance.state
         members = np.flatnonzero(state.roles == Role.MEMBER)
@@ -136,13 +136,13 @@ class TestMessageAccounting:
             pytest.skip("topology produced no cross-cluster member pair")
         u, v = pairs[0]
         sim.stats.start_measuring()
-        sim.adjacency[u, v] = sim.adjacency[v, u] = True
+        add_links(sim, [(u, v)])
         maintenance.on_link_up(sim, min(u, v), max(u, v), 0.0)
         assert sim.stats.message_count("cluster") == 0
 
 
 class TestChangeListeners:
-    def test_listener_fires_per_affected_node(self):
+    def test_listener_fires_per_affected_node(self, add_links):
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=9)
         state = maintenance.state
         heads = state.heads()
@@ -152,11 +152,11 @@ class TestChangeListeners:
             lambda _sim, node, _time: changed.append(node)
         )
         loser_cluster = set(int(x) for x in state.cluster_nodes(loser))
-        sim.adjacency[winner, loser] = sim.adjacency[loser, winner] = True
+        add_links(sim, [(winner, loser)])
         maintenance.on_link_up(sim, winner, loser, 0.0)
         assert set(changed) == loser_cluster
 
-    def test_lcc_member_does_not_switch_heads(self):
+    def test_lcc_member_does_not_switch_heads(self, add_links):
         """LCC: a member gaining a link to a better head stays put."""
         sim, maintenance = _sim_with_maintenance(vf=0.0, seed=10)
         state = maintenance.state
@@ -165,8 +165,7 @@ class TestChangeListeners:
         for member in members:
             for head in heads:
                 if head != state.head_of[member] and not sim.adjacency[member, head]:
-                    sim.adjacency[member, head] = True
-                    sim.adjacency[head, member] = True
+                    add_links(sim, [(member, head)])
                     before = int(state.head_of[member])
                     maintenance.on_link_up(
                         sim, min(member, head), max(member, head), 0.0
