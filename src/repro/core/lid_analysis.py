@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .degree import expected_degree
 from .params import NetworkParameters
@@ -46,6 +45,9 @@ __all__ = [
     "expected_cluster_count",
     "expected_cluster_size",
 ]
+
+#: Bracket width at which the Eqn (16) bisection stops.
+_XTOL = 1e-14
 
 
 def lid_fixpoint_residual(p: float, degree: float) -> float:
@@ -65,23 +67,25 @@ def lid_head_probability_exact(degree) -> float:
     """Solve Eqn (16) for ``P`` given the expected degree ``d``.
 
     The residual vanishes at ``p = 0`` with negative slope and is
-    positive at ``p = 1``, so a unique root exists in ``(0, 1]``; it is
-    located with Brent's method.  ``degree`` may be an array.
+    positive at ``p = 1``, so a unique root exists in ``(0, 1]``; every
+    degree's root is located at once by bisecting the sign-changing
+    bracket ``[1e-12, 1]`` down to ``_XTOL``.  ``degree`` may be an array.
     """
     degrees = np.atleast_1d(np.asarray(degree, dtype=float))
-    if np.any(degrees < 0.0):
-        raise ValueError("degree must be non-negative")
-    out = np.empty_like(degrees)
-    for idx, d in np.ndenumerate(degrees):
-        if d == 0.0:
-            # An isolated node is always its own cluster-head.
-            out[idx] = 1.0
-            continue
-        lo = 1e-12
-        # The residual is negative just right of zero; bracket to 1.
-        out[idx] = brentq(
-            lid_fixpoint_residual, lo, 1.0, args=(float(d),), xtol=1e-14
-        )
+    if not np.all(np.isfinite(degrees) & (degrees >= 0.0)):
+        # NaN or infinite degrees would bisect to a meaningless bound.
+        raise ValueError("degree must be finite and non-negative")
+    closed = degrees + 1.0
+    lo = np.full_like(degrees, 1e-12)
+    hi = np.ones_like(degrees)
+    while (hi - lo).max(initial=0.0) > _XTOL:
+        mid = 0.5 * (lo + hi)
+        # lid_fixpoint_residual(mid, degrees) < 0, without re-validating.
+        below = closed * mid * mid < 1.0 - (1.0 - mid) ** closed
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    # An isolated node is always its own cluster-head.
+    out = np.where(degrees == 0.0, 1.0, 0.5 * (lo + hi))
     if np.ndim(degree) == 0:
         return float(out[0])
     return out

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .summary import read_trace, summarize_trace
+from .summary import TraceSummary, summarize_trace
 
 __all__ = [
     "DEFAULT_COMPARE_THRESHOLD",
@@ -117,121 +117,84 @@ class TraceDigest:
                 continue
             for category, rate in frequencies.items():
                 rate_sums.setdefault(category, []).append(rate)
-        digest.rates = {
-            category: sum(values) / len(values)
-            for category, values in sorted(rate_sums.items())
-        }
+        digest.rates = _means(rate_sums)
 
-        windows: dict[int, list[dict]] = {}
-        control_windows: dict[int, list[dict]] = {}
-        ledgers: dict[int, dict] = {}
-        for record in read_trace(path):
-            event = record.get("event")
-            if event == "cluster_window":
-                windows.setdefault(int(record.get("sim", 0)), []).append(
-                    record
-                )
-            elif event == "control_window":
-                control_windows.setdefault(
-                    int(record.get("sim", 0)), []
-                ).append(record)
-            elif event == "attribution":
-                ledgers[int(record.get("sim", 0))] = record
-            elif event == "residual" and record.get("kind") == "final":
-                category = str(record.get("category", "?"))
+        loss_rate = None
+        for run in summary.runs.values():
+            for category, final in run.residual_finals.items():
                 digest.residuals[category] = digest.residuals.get(
                     category, True
-                ) and bool(record.get("ok", True))
-            elif event == "resource_sample":
-                for phase, seconds in (record.get("phases") or {}).items():
-                    digest.phases[phase] = (
-                        digest.phases.get(phase, 0.0) + float(seconds)
-                    )
-            elif event in ("fault_inject", "fault_clear"):
-                kind = str(record.get("kind", "?"))
-                if kind == "loss":
-                    digest.faults["loss_rate"] = float(
-                        record.get("rate", 0.0)
-                    )
-                else:
-                    verb = "inject" if event == "fault_inject" else "clear"
-                    key = f"{verb}:{kind}"
-                    digest.faults[key] = digest.faults.get(key, 0.0) + 1.0
-        digest.dynamics = _dynamics_aggregates(windows, summary)
-        digest.control = _control_aggregates(control_windows, summary)
-        digest.causes = _cause_rates(ledgers, summary)
+                ) and bool(final.get("ok", True))
+            counts, run_loss_rate = run.fault_counts()
+            for (kind, verb), count in counts.items():
+                key = f"{verb}:{kind}"
+                digest.faults[key] = digest.faults.get(key, 0.0) + count
+            if run_loss_rate is not None:
+                loss_rate = run_loss_rate
+        if loss_rate is not None:
+            digest.faults["loss_rate"] = loss_rate
+        digest.phases = summary.phase_totals()
+        digest.dynamics = _dynamics_aggregates(summary)
+        digest.control = _control_aggregates(summary)
+        digest.causes = _cause_rates(summary)
         return digest
 
 
-def _dynamics_aggregates(windows: dict[int, list[dict]], summary) -> dict:
+def _window_span(windows: list[dict]) -> float:
+    """Simulated time covered by a non-empty window series."""
+    return float(windows[-1]["t"]) - float(
+        windows[0].get("window_start", windows[0]["t"])
+    )
+
+
+def _dynamics_aggregates(summary: TraceSummary) -> dict:
     """Per-node-per-time dynamics rates, averaged across runs."""
     per_sim: dict[str, list[float]] = {}
     all_clusters: list[float] = []
-    for sim, records in sorted(windows.items()):
-        run = summary.runs.get(sim)
-        n_nodes = run.n_nodes if run is not None and run.n_nodes else None
-        observed = float(records[-1]["t"]) - float(
-            records[0].get("window_start", records[0]["t"])
-        )
+    for run in summary.runs_with("cluster_windows"):
+        records = run.cluster_windows
+        observed = _window_span(records)
         all_clusters.extend(float(w.get("clusters", 0)) for w in records)
-        if n_nodes is None or observed <= 0.0:
+        if not run.n_nodes or observed <= 0.0:
             continue
-        scale = n_nodes * observed
-        per_sim.setdefault("head_change_rate", []).append(
-            sum(int(w.get("head_changes", 0)) for w in records) / scale
-        )
-        per_sim.setdefault("reaffiliation_rate", []).append(
-            sum(int(w.get("reaffiliations", 0)) for w in records) / scale
-        )
-        per_sim.setdefault("gateway_churn_rate", []).append(
-            sum(
-                int(w.get("gateway_adds", 0)) + int(w.get("gateway_drops", 0))
-                for w in records
-            )
-            / scale
-        )
+        scale = run.n_nodes * observed
+        totals = run.window_totals()
+        for name, total in (
+            ("head_change_rate", totals["head_changes"]),
+            ("reaffiliation_rate", totals["reaffiliations"]),
+            ("gateway_churn_rate", totals["gateway_churn"]),
+        ):
+            per_sim.setdefault(name, []).append(total / scale)
         tenure = _finite(records[-1].get("mean_head_tenure"))
         if tenure is not None:
             per_sim.setdefault("mean_head_tenure", []).append(tenure)
         diameter = _finite(records[-1].get("mean_diameter"))
         if diameter is not None:
             per_sim.setdefault("mean_diameter", []).append(diameter)
-    aggregates = {
-        name: sum(values) / len(values)
-        for name, values in sorted(per_sim.items())
-        if values
-    }
+    aggregates = _means(per_sim)
     if all_clusters:
         aggregates["mean_clusters"] = sum(all_clusters) / len(all_clusters)
     return aggregates
 
 
-def _control_aggregates(windows: dict[int, list[dict]], summary) -> dict:
+def _control_aggregates(summary: TraceSummary) -> dict:
     """Adaptive-beaconing aggregates, averaged across runs."""
     per_sim: dict[str, list[float]] = {}
-    for sim, records in sorted(windows.items()):
-        beacons = sum(int(w.get("beacons", 0)) for w in records)
-        interval_sum = sum(
-            float(w.get("mean_interval", 0.0)) * int(w.get("beacons", 0))
-            for w in records
-        )
-        staleness = [float(w.get("staleness", 0.0)) for w in records]
-        if beacons:
-            per_sim.setdefault("mean_interval", []).append(
-                interval_sum / beacons
-            )
-        if staleness:
-            per_sim.setdefault("mean_staleness", []).append(
-                sum(staleness) / len(staleness)
-            )
-        run = summary.runs.get(sim)
-        observed = float(records[-1]["t"]) - float(
-            records[0].get("window_start", records[0]["t"])
-        )
-        if run is not None and run.n_nodes and observed > 0.0:
+    for run in summary.runs_with("control_windows"):
+        beacons, mean_interval, mean_staleness = run.control_totals()
+        if mean_interval is not None:
+            per_sim.setdefault("mean_interval", []).append(mean_interval)
+        if mean_staleness is not None:
+            per_sim.setdefault("mean_staleness", []).append(mean_staleness)
+        observed = _window_span(run.control_windows)
+        if run.n_nodes and observed > 0.0:
             per_sim.setdefault("beacon_rate", []).append(
                 beacons / (run.n_nodes * observed)
             )
+    return _means(per_sim)
+
+
+def _means(per_sim: dict[str, list[float]]) -> dict[str, float]:
     return {
         name: sum(values) / len(values)
         for name, values in sorted(per_sim.items())
@@ -239,22 +202,22 @@ def _control_aggregates(windows: dict[int, list[dict]], summary) -> dict:
     }
 
 
-def _cause_rates(ledgers: dict[int, dict], summary) -> dict:
+def _cause_rates(summary: TraceSummary) -> dict:
     """Per-(category, cause) per-node-per-time rates across runs.
 
     A cause absent from one run counts as rate zero there, so the
     averages stay comparable between digests with different cause sets.
     """
     per_run: list[dict[tuple[str, str], float]] = []
-    for sim, record in sorted(ledgers.items()):
-        run = summary.runs.get(sim)
-        if run is None or not run.n_nodes or not run.measured_time:
+    for run in summary.runs_with("attribution"):
+        if not run.n_nodes or not run.measured_time:
             continue
         scale = run.n_nodes * run.measured_time
+        causes = run.attribution.get("causes", {})
         per_run.append(
             {
                 (category, cause): tally["messages"] / scale
-                for category, breakdown in record.get("causes", {}).items()
+                for category, breakdown in causes.items()
                 for cause, tally in breakdown.items()
             }
         )
@@ -471,6 +434,26 @@ def _fmt_rel(rel: float | None) -> str:
     return f"{rel:+.1%}"
 
 
+#: Dynamics rows that gate (the rest are informational structure).
+_GATING_DYNAMICS = frozenset(
+    ("head_change_rate", "reaffiliation_rate", "gateway_churn_rate")
+)
+
+
+def _diff(prefix, left, right, gating=(), names=None) -> list[ComparisonRow]:
+    """One row per metric name (sorted, unless ``names`` is given);
+    ``gating`` holds the gating names, or is ``True`` for all."""
+    return [
+        ComparisonRow(
+            metric=f"{prefix}:{name}",
+            a=left.get(name),
+            b=right.get(name),
+            gating=gating is True or name in gating,
+        )
+        for name in names or sorted(set(left) | set(right))
+    ]
+
+
 def compare_traces(
     path_a,
     path_b,
@@ -481,71 +464,28 @@ def compare_traces(
         raise ValueError(f"threshold must be positive, got {threshold}")
     a = TraceDigest.from_trace(path_a)
     b = TraceDigest.from_trace(path_b)
-    comparison = TraceComparison(a=a, b=b, threshold=threshold)
-    rows = comparison.rows
-    for category in sorted(set(a.rates) | set(b.rates)):
-        rows.append(
-            ComparisonRow(
-                metric=f"rate:{category}",
-                a=a.rates.get(category),
-                b=b.rates.get(category),
-                gating=True,
-            )
-        )
-    gating_dynamics = {
-        "head_change_rate",
-        "reaffiliation_rate",
-        "gateway_churn_rate",
-    }
-    for name in sorted(set(a.dynamics) | set(b.dynamics)):
-        rows.append(
-            ComparisonRow(
-                metric=f"dynamics:{name}",
-                a=a.dynamics.get(name),
-                b=b.dynamics.get(name),
-                gating=name in gating_dynamics,
-            )
-        )
-    for name in sorted(set(a.control) | set(b.control)):
-        rows.append(
-            ComparisonRow(
-                metric=f"control:{name}",
-                a=a.control.get(name),
-                b=b.control.get(name),
-                gating=False,
-            )
-        )
-    for phase in sorted(set(a.phases) | set(b.phases)):
-        rows.append(
-            ComparisonRow(
-                metric=f"phase:{phase}",
-                a=a.phases.get(phase),
-                b=b.phases.get(phase),
-                gating=False,
-            )
-        )
-    for name in ("started", "links"):
-        rows.append(
-            ComparisonRow(
-                metric=f"spans:{name}",
-                a=float(a.spans.get(name, 0)),
-                b=float(b.spans.get(name, 0)),
-                gating=False,
-            )
-        )
-    # Fault digests are informational: a fault plan is part of the
-    # run's configuration, so differing schedules are expected when
-    # comparing faulted vs unfaulted twins — the gate should fire on
-    # the *consequences* (rates, dynamics), not the plan itself.
-    for name in sorted(set(a.faults) | set(b.faults)):
-        rows.append(
-            ComparisonRow(
-                metric=f"fault:{name}",
-                a=a.faults.get(name),
-                b=b.faults.get(name),
-                gating=False,
-            )
-        )
+    spans_a, spans_b = (
+        {name: float(count) for name, count in digest.spans.items()}
+        for digest in (a, b)
+    )
+    comparison = TraceComparison(
+        a=a,
+        b=b,
+        threshold=threshold,
+        rows=[
+            *_diff("rate", a.rates, b.rates, gating=True),
+            *_diff("dynamics", a.dynamics, b.dynamics, _GATING_DYNAMICS),
+            *_diff("control", a.control, b.control),
+            *_diff("phase", a.phases, b.phases),
+            *_diff("spans", spans_a, spans_b, names=("started", "links")),
+            # Fault digests are informational: a fault plan is part of
+            # the run's configuration, so differing schedules are
+            # expected when comparing faulted vs unfaulted twins — the
+            # gate should fire on the *consequences* (rates, dynamics),
+            # not the plan itself.
+            *_diff("fault", a.faults, b.faults),
+        ],
+    )
     for category in sorted(set(a.residuals) | set(b.residuals)):
         verdict_a = a.residuals.get(category)
         verdict_b = b.residuals.get(category)

@@ -165,30 +165,20 @@ def registry_from_trace(path) -> MetricsRegistry:
     per-run ``measured_time`` gauges, and ``trace_events_total`` counts
     of every record type read.
     """
-    from .summary import read_trace
+    from .summary import summarize_trace
 
+    summary = summarize_trace(path)
     registry = MetricsRegistry()
-    for record in read_trace(path):
-        event = record["event"]
-        registry.counter("trace_events_total", event=event).inc()
-        if event == "run_end":
-            sim = str(record.get("sim", 0))
-            registry.gauge("measured_time", sim=sim).set(
-                float(record.get("measured_time", 0.0))
-            )
-            for category, totals in sorted(
-                record.get("totals", {}).items()
-            ):
-                registry.counter(
-                    "messages_total", category=category, sim=sim
-                ).inc(totals["messages"])
-                registry.counter(
-                    "bits_total", category=category, sim=sim
-                ).inc(totals["bits"])
-        elif event == "attribution":
-            sim = str(record.get("sim", 0))
-            for category, cause, cluster, messages, bits in record.get(
-                "cells", []
+    for event, count in summary.event_counts.items():
+        registry.counter("trace_events_total", event=event).inc(count)
+    # Families register in first-seen order, which ``render_openmetrics``
+    # keeps: replay each run's ledger, then its ``run_end``, the order
+    # the engine emits them.
+    for run in summary.runs.values():
+        sim = str(run.sim)
+        if run.attribution is not None:
+            for category, cause, cluster, messages, bits in (
+                run.attribution.get("cells", [])
             ):
                 labels = {
                     "cause": cause,
@@ -200,13 +190,24 @@ def registry_from_trace(path) -> MetricsRegistry:
                     "overhead_messages_total", **labels
                 ).inc(messages)
                 registry.counter("overhead_bits_total", **labels).inc(bits)
-            for node, tally in record.get("nodes", {}).items():
+            for node, tally in run.attribution.get("nodes", {}).items():
                 registry.counter(
                     "overhead_node_messages_total", node=node, sim=sim
                 ).inc(tally["messages"])
                 registry.counter(
                     "overhead_node_bits_total", node=node, sim=sim
                 ).inc(tally["bits"])
+        if run.measured_time is not None:
+            registry.gauge("measured_time", sim=sim).set(run.measured_time)
+            for category, totals in sorted(
+                (run.reported_totals or {}).items()
+            ):
+                registry.counter(
+                    "messages_total", category=category, sim=sim
+                ).inc(totals["messages"])
+                registry.counter(
+                    "bits_total", category=category, sim=sim
+                ).inc(totals["bits"])
     return registry
 
 

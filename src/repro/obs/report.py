@@ -36,10 +36,10 @@ went wrong in one line each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .metrics import Histogram
-from .summary import TraceSummary, read_trace, summarize_trace
+from .summary import RunSummary, TraceSummary, fault_verb, summarize_trace
 
 __all__ = ["TraceHealth", "HealthReport", "build_report"]
 
@@ -65,63 +65,18 @@ def _table(headers: list[str], rows: list[list]) -> list[str]:
 
 
 @dataclass
-class _AuditTimeline:
-    """Aggregated ``invariant_audit`` stream of one simulation."""
-
-    audits: int = 0
-    violations: int = 0
-    spans: list[tuple[float, float]] = field(default_factory=list)
-    _open_since: float | None = None
-    last_time: float | None = None
-
-    def feed(self, record: dict) -> None:
-        self.audits += 1
-        time = float(record["t"])
-        if record.get("ok", True):
-            if self._open_since is not None:
-                self.spans.append((self._open_since, time))
-                self._open_since = None
-        else:
-            self.violations += 1
-            if self._open_since is None:
-                self._open_since = time
-        self.last_time = time
-
-    def close(self) -> None:
-        if self._open_since is not None and self.last_time is not None:
-            self.spans.append((self._open_since, self.last_time))
-            self._open_since = None
-
-
-@dataclass
 class TraceHealth:
-    """Everything the report knows about one trace file."""
+    """Everything the report knows about one trace file: its summary,
+    whose single pass also kept the windows, ledgers, verdicts, audit
+    timelines, faults and resource samples the sections render."""
 
     summary: TraceSummary
-    audits: dict[int, _AuditTimeline] = field(default_factory=dict)
-    #: ``(sim, category) -> list`` of ``kind="window"`` residual records.
-    residual_windows: dict[tuple[int, str], list[dict]] = field(
-        default_factory=dict
-    )
-    #: ``(sim, category) -> `` the ``kind="final"`` verdict record.
-    residual_finals: dict[tuple[int, str], dict] = field(default_factory=dict)
-    resources: list[dict] = field(default_factory=list)
-    #: ``cache_hit`` / ``cache_miss`` / ``cache_write`` event counts.
-    cache: dict[str, int] = field(default_factory=dict)
-    #: ``sim -> list`` of ``cluster_window`` records, in trace order.
-    dynamics: dict[int, list[dict]] = field(default_factory=dict)
-    #: ``sim -> list`` of ``control_window`` records (adaptive beacon).
-    control: dict[int, list[dict]] = field(default_factory=dict)
-    #: ``sim -> `` run-end ``attribution`` record (overhead ledger).
-    attribution: dict[int, dict] = field(default_factory=dict)
-    #: ``sim -> list`` of ``fault_inject`` / ``fault_clear`` records,
-    #: in trace order (empty for unfaulted runs).
-    faults: dict[int, list[dict]] = field(default_factory=dict)
 
     def cache_hit_rate(self) -> float | None:
         """Task cache-hit rate, or ``None`` without cache events."""
-        hits = self.cache.get("cache_hit", 0)
-        misses = self.cache.get("cache_miss", 0)
+        cache = self.summary.cache
+        hits = cache.get("cache_hit", 0)
+        misses = cache.get("cache_miss", 0)
         if hits + misses == 0:
             return None
         return hits / (hits + misses)
@@ -137,30 +92,19 @@ class TraceHealth:
         """
         found: list[str] = []
         checks = (
-            ("head_changes", "head_change"),
-            ("reaffiliations", "cluster_reaffiliation"),
+            ("head_changes", "head_change", "head_changes sum"),
+            ("reaffiliations", "cluster_reaffiliation", "reaffiliations sum"),
+            ("gateway_churn", "gateway_change", "gateway churn sums"),
         )
-        for sim, windows in sorted(self.dynamics.items()):
-            run = self.summary.runs.get(sim)
-            events = run.events if run is not None else {}
-            for window_field, event in checks:
-                summed = sum(int(w.get(window_field, 0)) for w in windows)
-                counted = events.get(event, 0)
-                if summed != counted:
+        for run in self.summary.runs_with("cluster_windows"):
+            totals = run.window_totals()
+            for key, event, label in checks:
+                counted = run.events.get(event, 0)
+                if totals[key] != counted:
                     found.append(
-                        f"sim {sim}: cluster_window {window_field} sum to "
-                        f"{summed}, trace has {counted} {event} events"
+                        f"sim {run.sim}: cluster_window {label} to "
+                        f"{totals[key]}, trace has {counted} {event} events"
                     )
-            churn = sum(
-                int(w.get("gateway_adds", 0)) + int(w.get("gateway_drops", 0))
-                for w in windows
-            )
-            counted = events.get("gateway_change", 0)
-            if churn != counted:
-                found.append(
-                    f"sim {sim}: cluster_window gateway churn sums to "
-                    f"{churn}, trace has {counted} gateway_change events"
-                )
         return found
 
     def attribution_mismatches(self) -> list[str]:
@@ -172,18 +116,17 @@ class TraceHealth:
         bypassed the hook (or a trace lost records).
         """
         found: list[str] = []
-        for sim, record in sorted(self.attribution.items()):
+        for run in self.summary.runs_with("attribution"):
+            sim, record = run.sim, run.attribution
             if not record.get("reconciled", True):
                 found.append(
                     f"sim {sim}: overhead attribution failed to reconcile "
                     f"with the run's message totals"
                 )
-            run = self.summary.runs.get(sim)
-            traced = run.messages if run is not None else {}
             totals = record.get("totals", {})
-            for category in sorted(set(totals) | set(traced)):
+            for category in sorted(set(totals) | set(run.messages)):
                 ledger = int(totals.get(category, {}).get("messages", 0))
-                streamed = int(traced.get(category, 0))
+                streamed = int(run.messages.get(category, 0))
                 if ledger != streamed:
                     found.append(
                         f"sim {sim} {category}: attribution ledger has "
@@ -199,58 +142,26 @@ class TraceHealth:
         found = [f"{path}: {m}" for m in self.summary.mismatches()]
         found.extend(f"{path}: {m}" for m in self.dynamics_mismatches())
         found.extend(f"{path}: {m}" for m in self.attribution_mismatches())
-        for sim, timeline in sorted(self.audits.items()):
-            if timeline.violations:
+        for run in self.summary.runs_with("audit"):
+            if run.audit.violations:
                 found.append(
-                    f"{path}: sim {sim} failed {timeline.violations} of "
-                    f"{timeline.audits} invariant audits"
+                    f"{path}: sim {run.sim} failed {run.audit.violations} "
+                    f"of {run.audit.audits} invariant audits"
                 )
-        for (sim, category), final in sorted(self.residual_finals.items()):
-            if not final.get("ok", True):
-                found.append(
-                    f"{path}: sim {sim} {category} rate "
-                    f"{final['measured']:.4g} below analytic bound "
-                    f"{final['bound']:.4g}"
-                )
+        for run in self.summary.runs_with("residual_finals"):
+            for category, final in sorted(run.residual_finals.items()):
+                if not final.get("ok", True):
+                    found.append(
+                        f"{path}: sim {run.sim} {category} rate "
+                        f"{final['measured']:.4g} below analytic bound "
+                        f"{final['bound']:.4g}"
+                    )
         return found
 
 
 def analyze_trace(path) -> TraceHealth:
     """Read one trace into a :class:`TraceHealth`."""
-    health = TraceHealth(summary=summarize_trace(path))
-    for record in read_trace(path):
-        event = record.get("event")
-        if event == "invariant_audit":
-            sim = int(record.get("sim", 0))
-            timeline = health.audits.get(sim)
-            if timeline is None:
-                timeline = health.audits[sim] = _AuditTimeline()
-            timeline.feed(record)
-        elif event == "residual":
-            sim = int(record.get("sim", 0))
-            key = (sim, record.get("category", "?"))
-            if record.get("kind") == "final":
-                health.residual_finals[key] = record
-            else:
-                health.residual_windows.setdefault(key, []).append(record)
-        elif event == "cluster_window":
-            sim = int(record.get("sim", 0))
-            health.dynamics.setdefault(sim, []).append(record)
-        elif event == "control_window":
-            sim = int(record.get("sim", 0))
-            health.control.setdefault(sim, []).append(record)
-        elif event == "attribution":
-            health.attribution[int(record.get("sim", 0))] = record
-        elif event == "resource_sample":
-            health.resources.append(record)
-        elif event in ("fault_inject", "fault_clear"):
-            sim = int(record.get("sim", 0))
-            health.faults.setdefault(sim, []).append(record)
-        elif event in ("cache_hit", "cache_miss", "cache_write"):
-            health.cache[event] = health.cache.get(event, 0) + 1
-    for timeline in health.audits.values():
-        timeline.close()
-    return health
+    return TraceHealth(summary=summarize_trace(path))
 
 
 @dataclass
@@ -329,24 +240,12 @@ class HealthReport:
 
     def _render_faults(self, trace: TraceHealth) -> list[str]:
         """The "Fault injection" section (omitted for unfaulted runs)."""
-        if not trace.faults:
+        faulted = trace.summary.runs_with("faults")
+        if not faulted:
             return []
         lines = ["### Fault injection", ""]
-        for sim, records in sorted(trace.faults.items()):
-            counts: dict[tuple[str, str], int] = {}
-            loss_rate = None
-            for record in records:
-                kind = str(record.get("kind", "?"))
-                if kind == "loss":
-                    loss_rate = float(record.get("rate", 0.0))
-                    continue
-                verb = (
-                    "inject"
-                    if record.get("event") == "fault_inject"
-                    else "clear"
-                )
-                key = (kind, verb)
-                counts[key] = counts.get(key, 0) + 1
+        for run in faulted:
+            counts, loss_rate = run.fault_counts()
             parts = []
             for (kind, verb), count in sorted(counts.items()):
                 label = {
@@ -358,17 +257,15 @@ class HealthReport:
                 parts.append(f"{count} {label}")
             if loss_rate is not None:
                 parts.append(f"Bernoulli loss rate {loss_rate:g}")
-            lines.append(f"- sim {sim}: " + ", ".join(parts))
+            lines.append(f"- sim {run.sim}: " + ", ".join(parts))
             rows = [
                 [
                     record["t"],
-                    "inject"
-                    if record.get("event") == "fault_inject"
-                    else "clear",
+                    fault_verb(record),
                     record.get("kind", "?"),
                     record.get("node", "-"),
                 ]
-                for record in records
+                for record in run.faults
                 if record.get("kind") != "loss"
             ]
             if rows:
@@ -424,7 +321,8 @@ class HealthReport:
 
     def _render_attribution(self, trace: TraceHealth) -> list[str]:
         lines = ["### Overhead attribution", ""]
-        if not trace.attribution:
+        ledgers = trace.summary.runs_with("attribution")
+        if not ledgers:
             lines.append(
                 "No `attribution` events — run with `--trace` to collect "
                 "the overhead ledger."
@@ -436,7 +334,8 @@ class HealthReport:
         # reconciliation check pins to the msg_tx stream, so this table
         # sums to the "Message totals" section by construction.
         rows = []
-        for sim, record in sorted(trace.attribution.items()):
+        for run in ledgers:
+            sim, record = run.sim, run.attribution
             causes = record.get("causes", {})
             for category in sorted(causes):
                 breakdown = causes[category]
@@ -478,8 +377,8 @@ class HealthReport:
             )
         )
         lines.append("")
-        lines.extend(self._render_hotspots(trace))
-        lines.extend(self._render_heatmap(trace))
+        lines.extend(self._render_hotspots(ledgers))
+        lines.extend(self._render_heatmap(ledgers))
         mismatches = trace.attribution_mismatches()
         if mismatches:
             lines.append("**Attribution reconciliation FAILED:**")
@@ -493,19 +392,19 @@ class HealthReport:
         lines.append("")
         return lines
 
-    def _render_hotspots(self, trace: TraceHealth) -> list[str]:
+    def _render_hotspots(self, ledgers: list[RunSummary]) -> list[str]:
         lines: list[str] = []
         for kind, key in (("nodes", "node"), ("clusters", "cluster")):
             rows = []
-            for sim, record in sorted(trace.attribution.items()):
-                tallies = record.get(kind, {})
+            for run in ledgers:
+                tallies = run.attribution.get(kind, {})
                 top = sorted(
                     tallies.items(),
                     key=lambda item: (-item[1]["messages"], int(item[0])),
                 )[:5]
                 for name, tally in top:
                     rows.append(
-                        [sim, int(name), tally["messages"], tally["bits"]]
+                        [run.sim, int(name), tally["messages"], tally["bits"]]
                     )
             if rows:
                 lines.append(f"Top overhead {kind} (by attributed messages):")
@@ -516,17 +415,17 @@ class HealthReport:
                 lines.append("")
         return lines
 
-    def _render_heatmap(self, trace: TraceHealth) -> list[str]:
+    def _render_heatmap(self, ledgers: list[RunSummary]) -> list[str]:
         lines: list[str] = []
         shades = " .:-=+*#%@"
-        for sim, record in sorted(trace.attribution.items()):
-            heatmap = record.get("heatmap") or {}
+        for run in ledgers:
+            heatmap = run.attribution.get("heatmap") or {}
             grid = heatmap.get("messages") or []
             peak = max((max(row) for row in grid if row), default=0)
             if not peak:
                 continue
             lines.append(
-                f"Spatial heatmap, sim {sim} "
+                f"Spatial heatmap, sim {run.sim} "
                 f"({heatmap.get('bins')}x{heatmap.get('bins')} cells over "
                 f"side {_fmt(heatmap.get('side'))}; peak "
                 f"{_fmt(float(peak))} messages/cell):"
@@ -552,7 +451,8 @@ class HealthReport:
 
     def _render_dynamics(self, trace: TraceHealth) -> list[str]:
         lines = ["### Cluster dynamics", ""]
-        if not trace.dynamics:
+        windowed = trace.summary.runs_with("cluster_windows")
+        if not windowed:
             lines.append(
                 "No `cluster_window` events — run with `--trace` and an "
                 "attached maintenance protocol to collect the series."
@@ -562,19 +462,17 @@ class HealthReport:
         import statistics
 
         rows = []
-        for sim, windows in sorted(trace.dynamics.items()):
+        for run in windowed:
+            windows = run.cluster_windows
+            totals = run.window_totals()
             clusters = [int(w.get("clusters", 0)) for w in windows]
             rows.append(
                 [
-                    sim,
+                    run.sim,
                     len(windows),
-                    sum(int(w.get("head_changes", 0)) for w in windows),
-                    sum(int(w.get("reaffiliations", 0)) for w in windows),
-                    sum(
-                        int(w.get("gateway_adds", 0))
-                        + int(w.get("gateway_drops", 0))
-                        for w in windows
-                    ),
+                    totals["head_changes"],
+                    totals["reaffiliations"],
+                    totals["gateway_churn"],
                     statistics.mean(clusters) if clusters else None,
                     windows[-1].get("mean_head_tenure"),
                     windows[-1].get("mean_diameter"),
@@ -611,7 +509,8 @@ class HealthReport:
 
     def _render_control(self, trace: TraceHealth) -> list[str]:
         lines = ["### Adaptive beaconing", ""]
-        if not trace.control:
+        controlled = trace.summary.runs_with("control_windows")
+        if not controlled:
             lines.append(
                 "No `control_window` events — run without an adaptive "
                 "beacon policy (or untraced)."
@@ -619,21 +518,17 @@ class HealthReport:
             lines.append("")
             return lines
         rows = []
-        for sim, windows in sorted(trace.control.items()):
-            beacons = sum(int(w.get("beacons", 0)) for w in windows)
-            interval_sum = sum(
-                float(w.get("mean_interval", 0.0)) * int(w.get("beacons", 0))
-                for w in windows
-            )
+        for run in controlled:
+            windows = run.control_windows
+            beacons, mean_interval, mean_staleness = run.control_totals()
             active = [w for w in windows if int(w.get("beacons", 0))]
-            staleness = [float(w.get("staleness", 0.0)) for w in windows]
             rows.append(
                 [
-                    sim,
+                    run.sim,
                     windows[0].get("policy", "?"),
                     len(windows),
                     beacons,
-                    interval_sum / beacons if beacons else None,
+                    mean_interval,
                     min(
                         (float(w["min_interval"]) for w in active),
                         default=None,
@@ -642,7 +537,7 @@ class HealthReport:
                         (float(w["max_interval"]) for w in active),
                         default=None,
                     ),
-                    sum(staleness) / len(staleness) if staleness else None,
+                    mean_staleness,
                     sum(float(w.get("mean_rate", 0.0)) for w in windows)
                     / len(windows),
                 ]
@@ -674,18 +569,20 @@ class HealthReport:
 
     def _render_audits(self, trace: TraceHealth) -> list[str]:
         lines = ["### Invariant audits (P1/P2)", ""]
-        if not trace.audits:
+        audited = trace.summary.runs_with("audit")
+        if not audited:
             lines.append(
                 "No `invariant_audit` events — run without `--audit`."
             )
             lines.append("")
             return lines
         rows = []
-        for sim, timeline in sorted(trace.audits.items()):
+        for run in audited:
+            timeline = run.audit
             violation_time = sum(end - start for start, end in timeline.spans)
             rows.append(
                 [
-                    sim,
+                    run.sim,
                     timeline.audits,
                     timeline.violations,
                     violation_time,
@@ -699,30 +596,33 @@ class HealthReport:
             )
         )
         lines.append("")
-        for sim, timeline in sorted(trace.audits.items()):
-            for start, end in timeline.spans:
+        for run in audited:
+            for start, end in run.audit.spans:
                 lines.append(
-                    f"- sim {sim}: invariants violated from t={start:.4g} "
+                    f"- sim {run.sim}: invariants violated from t={start:.4g} "
                     f"to t={end:.4g}"
                 )
-        if any(timeline.spans for timeline in trace.audits.values()):
+        if any(run.audit.spans for run in audited):
             lines.append("")
         return lines
 
     def _render_residuals(self, trace: TraceHealth) -> list[str]:
         lines = ["### Analytic residuals (measured vs lower bound)", ""]
-        keys = sorted(
-            set(trace.residual_windows) | set(trace.residual_finals)
-        )
+        keys = [
+            (sim, category, run)
+            for sim, run in sorted(trace.summary.runs.items())
+            for category in sorted(
+                set(run.residual_windows) | set(run.residual_finals)
+            )
+        ]
         if not keys:
             lines.append("No `residual` events — run without `--audit`.")
             lines.append("")
             return lines
         rows = []
-        for key in keys:
-            sim, category = key
-            windows = trace.residual_windows.get(key, [])
-            final = trace.residual_finals.get(key)
+        for sim, category, run in keys:
+            windows = run.residual_windows.get(category, [])
+            final = run.residual_finals.get(category)
             histogram = _window_histogram(windows, final)
             stats = histogram.summary()
             flagged = sum(1 for w in windows if not w.get("ok", True))
@@ -770,7 +670,7 @@ class HealthReport:
 
     def _render_resources(self, trace: TraceHealth) -> list[str]:
         lines = ["### Resources", ""]
-        samples = trace.resources
+        samples = trace.summary.resources
         if not samples:
             lines.append(
                 "No `resource_sample` events — run without "
@@ -806,10 +706,7 @@ class HealthReport:
         lines.append(
             f"- CPU utilisation: mean {sum(utils) / len(utils):.2f} cores"
         )
-        phase_totals: dict[str, float] = {}
-        for sample in samples:
-            for phase, seconds in (sample.get("phases") or {}).items():
-                phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
+        phase_totals = trace.summary.phase_totals()
         if phase_totals:
             total = sum(phase_totals.values())
             lines.append("")
@@ -828,7 +725,8 @@ class HealthReport:
         return lines
 
     def _render_cache(self, trace: TraceHealth) -> list[str]:
-        if not trace.cache:
+        cache = trace.summary.cache
+        if not cache:
             # Degrade to an explicit note rather than silently omitting
             # the section (or printing a meaningless 0/0 rate).
             return [
@@ -838,9 +736,9 @@ class HealthReport:
                 "store was never consulted.",
                 "",
             ]
-        hits = trace.cache.get("cache_hit", 0)
-        misses = trace.cache.get("cache_miss", 0)
-        writes = trace.cache.get("cache_write", 0)
+        hits = cache.get("cache_hit", 0)
+        misses = cache.get("cache_miss", 0)
+        writes = cache.get("cache_write", 0)
         lines = ["### Result store", ""]
         rate = trace.cache_hit_rate()
         rate_text = f"{rate:.1%}" if rate is not None else "n/a"

@@ -9,6 +9,13 @@ events *exactly* reproduce the totals the run's
 :class:`~repro.sim.stats.MessageStats` reported.  A trace that fails
 reconciliation means events were lost or double-counted somewhere,
 which is precisely the regression this closed loop exists to catch.
+
+The same single pass also keeps the records the other trace consumers
+need — cluster/control windows, the attribution ledger, residual
+verdicts, the invariant-audit timeline, fault transitions and resource
+samples — so ``report``, ``compare`` and ``metrics`` all read a trace
+exactly once, through :func:`summarize_trace`, and share the one
+aggregate function for each derived quantity.
 """
 
 from __future__ import annotations
@@ -16,13 +23,41 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .tracer import TRACE_SCHEMA_VERSION
 
 __all__ = ["RunSummary", "TraceSummary", "read_trace", "summarize_trace"]
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass
+class AuditTimeline:
+    """Aggregated ``invariant_audit`` stream of one simulation."""
+
+    audits: int = 0
+    violations: int = 0
+    spans: list[tuple[float, float]] = field(default_factory=list)
+    _open_since: float | None = None
+    last_time: float | None = None
+
+    def feed(self, record: dict) -> None:
+        self.audits += 1
+        time = float(record["t"])
+        if record.get("ok", True):
+            if self._open_since is not None:
+                self.spans.append((self._open_since, time))
+                self._open_since = None
+        else:
+            self.violations += 1
+            if self._open_since is None:
+                self._open_since = time
+        self.last_time = time
+
+    def close(self) -> None:
+        if self._open_since is not None and self.last_time is not None:
+            self.spans.append((self._open_since, self.last_time))
+            self._open_since = None
 
 
 @dataclass
@@ -39,6 +74,19 @@ class RunSummary:
     #: cluster-dynamics report section reconciles its window sums
     #: against.
     events: dict[str, int] = field(default_factory=dict)
+    #: ``cluster_window`` / ``control_window`` records, in trace order.
+    cluster_windows: list[dict] = field(default_factory=list)
+    control_windows: list[dict] = field(default_factory=list)
+    #: The run-end ``attribution`` record (overhead ledger), if any.
+    attribution: dict | None = None
+    #: ``category -> list`` of ``kind="window"`` residual records, and
+    #: ``category -> `` the ``kind="final"`` verdict record.
+    residual_windows: dict[str, list[dict]] = field(default_factory=dict)
+    residual_finals: dict[str, dict] = field(default_factory=dict)
+    #: The ``invariant_audit`` stream, folded (``None`` when unaudited).
+    audit: AuditTimeline | None = None
+    #: ``fault_inject`` / ``fault_clear`` records, in trace order.
+    faults: list[dict] = field(default_factory=list)
 
     def frequencies(self) -> dict[str, float] | None:
         """Per-node message frequencies, when run metadata is present."""
@@ -74,6 +122,58 @@ class RunSummary:
                 )
         return problems
 
+    def window_totals(self) -> dict[str, int]:
+        """Head changes, reaffiliations and gateway churn summed over the
+        run's ``cluster_window`` series."""
+        windows = self.cluster_windows
+        return {
+            "head_changes": sum(
+                int(w.get("head_changes", 0)) for w in windows
+            ),
+            "reaffiliations": sum(
+                int(w.get("reaffiliations", 0)) for w in windows
+            ),
+            "gateway_churn": sum(
+                int(w.get("gateway_adds", 0)) + int(w.get("gateway_drops", 0))
+                for w in windows
+            ),
+        }
+
+    def control_totals(self) -> tuple[int, float | None, float | None]:
+        """``(beacons, beacon-weighted mean interval, mean staleness)``
+        over the run's ``control_window`` series."""
+        windows = self.control_windows
+        beacons = sum(int(w.get("beacons", 0)) for w in windows)
+        interval_sum = sum(
+            float(w.get("mean_interval", 0.0)) * int(w.get("beacons", 0))
+            for w in windows
+        )
+        staleness = [float(w.get("staleness", 0.0)) for w in windows]
+        return (
+            beacons,
+            interval_sum / beacons if beacons else None,
+            sum(staleness) / len(staleness) if staleness else None,
+        )
+
+    def fault_counts(self) -> tuple[dict[tuple[str, str], int], float | None]:
+        """``(kind, "inject" | "clear") -> count`` of the run's fault
+        transitions, and the announced Bernoulli loss rate (if any)."""
+        counts: dict[tuple[str, str], int] = {}
+        loss_rate = None
+        for record in self.faults:
+            kind = str(record.get("kind", "?"))
+            if kind == "loss":
+                loss_rate = float(record.get("rate", 0.0))
+                continue
+            key = (kind, fault_verb(record))
+            counts[key] = counts.get(key, 0) + 1
+        return counts, loss_rate
+
+
+def fault_verb(record: dict) -> str:
+    """``"inject"`` for a ``fault_inject`` record, else ``"clear"``."""
+    return "inject" if record.get("event") == "fault_inject" else "clear"
+
 
 @dataclass
 class TraceSummary:
@@ -85,24 +185,25 @@ class TraceSummary:
     runs: dict[int, RunSummary] = field(default_factory=dict)
     first_time: float | None = None
     last_time: float | None = None
+    #: ``resource_sample`` records (wall-clock; owned by no run).
+    resources: list[dict] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     @property
     def messages(self) -> dict[str, int]:
         """Per-category message totals across every run."""
-        totals: dict[str, int] = {}
-        for run in self.runs.values():
-            for category, count in run.messages.items():
-                totals[category] = totals.get(category, 0) + count
-        return totals
+        return self._category_totals("messages", 0)
 
     @property
     def bits(self) -> dict[str, float]:
         """Per-category bit totals across every run."""
-        totals: dict[str, float] = {}
+        return self._category_totals("bits", 0.0)
+
+    def _category_totals(self, attribute: str, zero):
+        totals = {}
         for run in self.runs.values():
-            for category, count in run.bits.items():
-                totals[category] = totals.get(category, 0.0) + count
+            for category, count in getattr(run, attribute).items():
+                totals[category] = totals.get(category, zero) + count
         return totals
 
     @property
@@ -114,6 +215,30 @@ class TraceSummary:
             "ended": counts.get("span_end", 0),
             "links": counts.get("span_link", 0),
         }
+
+    def runs_with(self, attribute: str) -> list[RunSummary]:
+        """The runs, in sim order, that kept any ``attribute`` record."""
+        return [
+            run for _, run in sorted(self.runs.items())
+            if getattr(run, attribute)
+        ]
+
+    @property
+    def cache(self) -> dict[str, int]:
+        """``cache_hit`` / ``cache_miss`` / ``cache_write`` event counts."""
+        return {
+            event: count
+            for event, count in self.event_counts.items()
+            if event in ("cache_hit", "cache_miss", "cache_write")
+        }
+
+    def phase_totals(self) -> dict[str, float]:
+        """Per-phase wall-clock seconds summed over the resource samples."""
+        totals: dict[str, float] = {}
+        for sample in self.resources:
+            for phase, seconds in (sample.get("phases") or {}).items():
+                totals[phase] = totals.get(phase, 0.0) + float(seconds)
+        return totals
 
     def mismatches(self) -> list[str]:
         """All reconciliation problems across runs (empty when clean)."""
@@ -205,38 +330,32 @@ def read_trace(path):
     (or one the writer did terminate) still raises, because a trace
     that is corrupt in the middle cannot be trusted at all.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    last_content = -1
-    if text and not text.endswith("\n"):
-        last_content = max(
-            (i for i, line in enumerate(lines) if line.strip()), default=-1
-        )
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            if line_number - 1 == last_content:
-                logger.warning(
-                    "%s:%d: skipping truncated final record "
-                    "(trace writer was interrupted mid-line)",
-                    path,
-                    line_number,
+    with open(path, encoding="utf-8") as lines:
+        for line_number, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as error:
+                if not raw.endswith("\n"):
+                    logger.warning(
+                        "%s:%d: skipping truncated final record "
+                        "(trace writer was interrupted mid-line)",
+                        path,
+                        line_number,
+                    )
+                    return
+                raise ValueError(
+                    f"{path}:{line_number}: not valid JSON: {error}"
+                ) from None
+            version = record.get("schema")
+            if version != TRACE_SCHEMA_VERSION:
+                raise ValueError(
+                    f"{path}:{line_number}: unsupported trace schema "
+                    f"version {version!r} (supported: {TRACE_SCHEMA_VERSION})"
                 )
-                return
-            raise ValueError(
-                f"{path}:{line_number}: not valid JSON: {error}"
-            ) from None
-        version = record.get("schema")
-        if version != TRACE_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}:{line_number}: unsupported trace schema "
-                f"version {version!r} (supported: {TRACE_SCHEMA_VERSION})"
-            )
-        yield record
+            yield record
 
 
 def summarize_trace(path) -> TraceSummary:
@@ -250,9 +369,12 @@ def summarize_trace(path) -> TraceSummary:
         summary.records += 1
         event = record.get("event", "?")
         summary.event_counts[event] = summary.event_counts.get(event, 0) + 1
-        if event == "resource_sample" or event.startswith("cache_"):
-            # Wall-clock envelope and no owning run; counted above only.
+        if event == "resource_sample":
+            # Wall-clock envelope and no owning run.
+            summary.resources.append(record)
             continue
+        if event.startswith("cache_"):
+            continue  # no owning run; counted above only
         time = record.get("t")
         if time is not None:
             if summary.first_time is None:
@@ -271,6 +393,24 @@ def summarize_trace(path) -> TraceSummary:
             run.bits[category] = run.bits.get(category, 0.0) + float(
                 record.get("bits", 0.0)
             )
+        elif event == "cluster_window":
+            run.cluster_windows.append(record)
+        elif event == "invariant_audit":
+            if run.audit is None:
+                run.audit = AuditTimeline()
+            run.audit.feed(record)
+        elif event == "residual":
+            category = record.get("category", "?")
+            if record.get("kind") == "final":
+                run.residual_finals[category] = record
+            else:
+                run.residual_windows.setdefault(category, []).append(record)
+        elif event == "control_window":
+            run.control_windows.append(record)
+        elif event in ("fault_inject", "fault_clear"):
+            run.faults.append(record)
+        elif event == "attribution":
+            run.attribution = record
         elif event == "run_begin":
             run.n_nodes = int(record["n_nodes"])
         elif event == "run_end":
@@ -278,4 +418,6 @@ def summarize_trace(path) -> TraceSummary:
             run.reported_totals = record.get("totals")
     if summary.records == 0:
         raise ValueError(f"{path}: empty trace (no records)")
+    for run in summary.runs_with("audit"):
+        run.audit.close()
     return summary

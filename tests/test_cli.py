@@ -314,6 +314,15 @@ class TestMetricsCommand:
         assert main(["metrics", str(tmp_path / "none.jsonl")]) == 2
         assert "cannot read trace" in capsys.readouterr().err
 
+    def test_metrics_empty_trace_is_input_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["metrics", str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert "malformed trace" in captured.err
+        assert "empty trace (no records)" in captured.err
+        assert captured.out == ""
+
     def test_live_export_equals_trace_export(self, tmp_path, capsys):
         live = tmp_path / "live.om"
         trace = self._simulate_traced(

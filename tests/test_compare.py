@@ -133,6 +133,46 @@ class TestCompareTraces:
         assert "cluster" in comparison.verdict_changes[0]
 
 
+class TestSinglePass:
+    """Every trace consumer reads each trace file exactly once."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Paths passed to ``read_trace``, through whichever module's
+        binding of it the caller used."""
+        import sys
+
+        from repro.obs.summary import read_trace
+
+        calls = []
+
+        def counting(path):
+            calls.append(str(path))
+            return read_trace(path)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and (
+                getattr(module, "read_trace", None) is read_trace
+            ):
+                monkeypatch.setattr(module, "read_trace", counting)
+        return calls
+
+    def test_summary_report_and_metrics_read_once(self, trace_a, reads):
+        from repro.obs import build_report, registry_from_trace
+        from repro.obs.summary import summarize_trace
+
+        summarize_trace(trace_a)
+        assert len(reads) == 1
+        build_report([trace_a])
+        assert len(reads) == 2
+        registry_from_trace(trace_a)
+        assert len(reads) == 3
+
+    def test_compare_reads_each_side_once(self, trace_a, trace_b, reads):
+        compare_traces(trace_a, trace_b)
+        assert reads == [str(trace_a), str(trace_b)]
+
+
 class TestDiffPhases:
     def test_sorted_by_absolute_delta(self):
         lines = diff_phases(

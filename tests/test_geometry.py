@@ -119,6 +119,21 @@ class TestMoments:
         with pytest.raises(ValueError):
             link_distance_moment(-1)
 
+    def test_even_point_count_rejected(self):
+        with pytest.raises(ValueError, match="odd"):
+            link_distance_moment(1, num=20000)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_matches_scipy_simpson(self, k):
+        for side, num in ((1.0, 20001), (2.5, 401)):
+            s = np.linspace(0.0, SQRT2, num)
+            expected = (
+                float(simpson(s**k * link_distance_pdf(s), x=s)) * side**k
+            )
+            assert link_distance_moment(k, side=side, num=num) == (
+                pytest.approx(expected, rel=0.0, abs=1e-10)
+            )
+
 
 class TestEmpirical:
     def test_cdf_matches_sampling(self):

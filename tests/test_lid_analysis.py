@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from repro.core.degree import expected_degree
 from repro.core.lid_analysis import (
@@ -64,6 +65,43 @@ class TestExactProbability:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             lid_head_probability_exact(-0.5)
+
+    @pytest.mark.parametrize("degree", [np.nan, np.inf])
+    def test_non_finite_degree_rejected(self, degree):
+        with pytest.raises(ValueError, match="finite"):
+            lid_head_probability_exact(degree)
+        with pytest.raises(ValueError, match="finite"):
+            lid_head_probability_exact(np.array([1.0, degree]))
+
+
+class TestScipyReference:
+    """The NumPy bisection reproduces scipy's Brent solver (same xtol)."""
+
+    DEGREES = (0.0, 1e-9, 1e-3, 0.5, 1.0, 10.0, 150.0, 1e4)
+
+    @staticmethod
+    def _brentq(degree):
+        if degree == 0.0:
+            return 1.0
+        return brentq(
+            lid_fixpoint_residual, 1e-12, 1.0, args=(degree,), xtol=1e-14
+        )
+
+    def test_scalar_roots_match_brentq(self):
+        for degree in self.DEGREES:
+            assert lid_head_probability_exact(degree) == pytest.approx(
+                self._brentq(degree), rel=0.0, abs=1e-12
+            )
+
+    def test_array_roots_match_brentq(self):
+        degrees = np.array([self.DEGREES, self.DEGREES[::-1]])
+        roots = lid_head_probability_exact(degrees)
+        assert roots.shape == degrees.shape
+        expected = np.vectorize(self._brentq)(degrees)
+        np.testing.assert_allclose(roots, expected, rtol=0.0, atol=1e-12)
+
+    def test_empty_array(self):
+        assert lid_head_probability_exact(np.array([])).shape == (0,)
 
 
 class TestApproximation:
