@@ -3,17 +3,21 @@
 ``repro-manet bench`` drives this module and writes ``BENCH_engine.json``.
 It answers three questions about the simulation substrate:
 
-* **How much faster is each connectivity kernel?**  The dense baseline
-  re-implements the pre-edge-set kernel inline — per-step dense
+* **How much faster is the simulation's connectivity kernel?**  The
+  incremental engine mode times :meth:`Simulation.step`, which runs the
+  temporal-coherence kernel (:mod:`repro.spatial.incremental`).  Two
+  batch baselines run inline: the edge engine rebuilds the edge set
+  with :func:`~repro.spatial.neighbors.compute_edges` and diffs it with
+  :func:`~repro.spatial.neighbors.diff_edge_sets` every step, and the
+  dense baseline re-implements the pre-edge-set kernel — per-step dense
   ``O(N^2)`` adjacency recomputation plus matrix diffing, exactly the
-  work the seed engine did.  The edge engine runs the batch edge-set
-  core, and the incremental engine runs the temporal-coherence kernel
-  (:mod:`repro.spatial.incremental`).  All paths run the same mobility
-  model with the same seeds, so the steps/sec ratios isolate the
-  connectivity representation.  Each incremental row is preceded by an
-  **equivalence check** — a short dual-engine run asserting identical
-  per-step edge sets and link events — so a speedup number is never
-  reported for a kernel that silently diverged.
+  work the seed engine did.  All paths run the same mobility model
+  with the same seeds, so the steps/sec ratios isolate the
+  connectivity kernel.  Each incremental row is preceded by an
+  **equivalence check** — a short lockstep run against the edge
+  baseline asserting identical per-step edge sets and link events — so
+  a speedup number is never reported for a kernel that silently
+  diverged.
 * **Where is the dense/grid crossover?**  ``--crossover`` times
   :func:`~repro.spatial.neighbors.compute_edges` under both methods
   across sizes; the measured ratio table is the evidence behind
@@ -58,7 +62,14 @@ from ..mobility import EpochRandomWaypointModel
 from ..obs.resources import ResourceSampler
 from ..obs.timing import PhaseTimer
 from ..sim import Simulation, recommended_step
-from ..spatial import Boundary, SquareRegion, compute_edges, diff_adjacency
+from ..spatial import (
+    Boundary,
+    SquareRegion,
+    compute_edges,
+    diff_adjacency,
+    diff_edge_sets,
+    select_connectivity_method,
+)
 
 __all__ = [
     "DEFAULT_SIZES",
@@ -118,110 +129,85 @@ def _phase_dict(timer: PhaseTimer) -> dict[str, float]:
     return {p.phase: p.seconds for p in timer.report().phases}
 
 
-def _bench_dense_baseline(
-    params: NetworkParameters, steps: int, seed: int = 0
+class _BatchKernel:
+    """The simulation's mobility with connectivity rebuilt every step.
+
+    ``connect(region, positions, tx_range)`` computes a connectivity
+    snapshot from scratch and ``diff(previous, current)`` turns two
+    snapshots into link events.  Region, mobility, seed and step size
+    are those of the :class:`Simulation` the incremental mode builds,
+    and :meth:`step` times the same phases as :meth:`Simulation.step`.
+    """
+
+    def __init__(self, params: NetworkParameters, connect, diff, seed=0):
+        self.region = SquareRegion(params.side, Boundary.TORUS)
+        self.mobility = EpochRandomWaypointModel(params.velocity, epoch=1.0)
+        self.mobility.reset(params.n_nodes, self.region, seed)
+        self.dt = recommended_step(params.tx_range, params.velocity)
+        self.tx_range = params.tx_range
+        self.connect = connect
+        self.diff = diff
+        self.state = connect(
+            self.region, self.mobility.positions, self.tx_range
+        )
+        self.timer = PhaseTimer()
+
+    def step(self):
+        t0 = perf_counter()
+        positions = self.mobility.advance(self.dt)
+        t1 = perf_counter()
+        state = self.connect(self.region, positions, self.tx_range)
+        t2 = perf_counter()
+        events = self.diff(self.state, state)
+        t3 = perf_counter()
+        self.timer.add("mobility", t1 - t0)
+        self.timer.add("adjacency", t2 - t1)
+        self.timer.add("link_diff", t3 - t2)
+        self.state = state
+        return events
+
+
+#: ``(connect, diff)`` of the two inline batch baselines.
+_BATCH_KERNELS = {
+    "edge": (compute_edges, diff_edge_sets),
+    "dense": (SquareRegion.adjacency, diff_adjacency),
+}
+
+
+def _bench_mode(
+    token: str, params: NetworkParameters, steps: int, seed: int = 0
 ) -> dict:
-    """Per-step dense adjacency + matrix diff — the pre-edge-set kernel."""
-    region = SquareRegion(params.side, Boundary.TORUS)
-    mobility = EpochRandomWaypointModel(params.velocity, epoch=1.0)
-    mobility.reset(params.n_nodes, region, seed)
-    dt = recommended_step(params.tx_range, params.velocity)
-    adjacency = region.adjacency(mobility.positions, params.tx_range)
-    timer = PhaseTimer()
+    """Time ``steps`` steps of one kernel mode; returns its result row."""
+    if token == "incremental":
+        kernel = Simulation(
+            params,
+            EpochRandomWaypointModel(params.velocity, epoch=1.0),
+            seed=seed,
+            timer=PhaseTimer(),
+        )
+    else:
+        kernel = _BatchKernel(params, *_BATCH_KERNELS[token], seed=seed)
     start = perf_counter()
     for _ in range(steps):
-        t0 = perf_counter()
-        positions = mobility.advance(dt)
-        t1 = perf_counter()
-        new_adjacency = region.adjacency(positions, params.tx_range)
-        t2 = perf_counter()
-        diff_adjacency(adjacency, new_adjacency)
-        t3 = perf_counter()
-        timer.add("mobility", t1 - t0)
-        timer.add("adjacency", t2 - t1)
-        timer.add("link_diff", t3 - t2)
-        adjacency = new_adjacency
+        kernel.step()
     elapsed = perf_counter() - start
-    return {
-        "mode": "dense-baseline",
+    row = {
+        "mode": _MODE_LABELS[token],
         "n_nodes": params.n_nodes,
         "steps": steps,
         "elapsed_s": elapsed,
         "steps_per_sec": steps / elapsed,
-        "phases_s": _phase_dict(timer),
+        "phases_s": _phase_dict(kernel.timer),
         "peak_rss_kb": _peak_rss_kb(),
     }
-
-
-def _bench_edge_engine(
-    params: NetworkParameters,
-    steps: int,
-    seed: int = 0,
-    connectivity: str | None = None,
-) -> dict:
-    """The batch edge-set engine through :meth:`Simulation.step`.
-
-    Pinned to the mobility-blind dense/grid selection (``auto`` would
-    resolve to the incremental engine for large sparse networks, which
-    has its own benchmark mode).
-    """
-    from ..spatial import select_connectivity_method
-
-    if connectivity is None:
-        connectivity = select_connectivity_method(
+    if token == "edge":
+        # The path compute_edges(method="auto") resolves to.
+        row["connectivity"] = select_connectivity_method(
             params.n_nodes, params.tx_range, params.side
         )
-    timer = PhaseTimer()
-    sim = Simulation(
-        params,
-        EpochRandomWaypointModel(params.velocity, epoch=1.0),
-        seed=seed,
-        timer=timer,
-        connectivity=connectivity,
-    )
-    start = perf_counter()
-    for _ in range(steps):
-        sim.step()
-    elapsed = perf_counter() - start
-    return {
-        "mode": "edge-engine",
-        "n_nodes": params.n_nodes,
-        "connectivity": sim.connectivity,
-        "steps": steps,
-        "elapsed_s": elapsed,
-        "steps_per_sec": steps / elapsed,
-        "phases_s": _phase_dict(timer),
-        "peak_rss_kb": _peak_rss_kb(),
-    }
-
-
-def _bench_incremental_engine(
-    params: NetworkParameters, steps: int, seed: int = 0
-) -> dict:
-    """The temporal-coherence kernel, forced on regardless of auto."""
-    timer = PhaseTimer()
-    sim = Simulation(
-        params,
-        EpochRandomWaypointModel(params.velocity, epoch=1.0),
-        seed=seed,
-        timer=timer,
-        connectivity="incremental",
-    )
-    start = perf_counter()
-    for _ in range(steps):
-        sim.step()
-    elapsed = perf_counter() - start
-    engine = sim._incremental
-    return {
-        "mode": "incremental-engine",
-        "n_nodes": params.n_nodes,
-        "connectivity": sim.connectivity,
-        "steps": steps,
-        "elapsed_s": elapsed,
-        "steps_per_sec": steps / elapsed,
-        "phases_s": _phase_dict(timer),
-        "peak_rss_kb": _peak_rss_kb(),
-        "engine_stats": {
+    if token == "incremental":
+        engine = kernel._incremental
+        row["engine_stats"] = {
             "full_rebuilds": engine.full_rebuilds,
             "incremental_steps": engine.incremental_steps,
             "mean_at_risk": (
@@ -229,48 +215,44 @@ def _bench_incremental_engine(
                 if engine.incremental_steps
                 else 0.0
             ),
-        },
-    }
+        }
+    return row
 
 
 def check_equivalence(
-    params: NetworkParameters, steps: int = 10, seed: int = 0
+    params: NetworkParameters, steps: int = 30, seed: int = 0
 ) -> str:
-    """Run the incremental engine against a reference engine in lockstep.
+    """Run the simulation's kernel against the edge baseline in lockstep.
 
-    The reference is whatever the mobility-blind selection (dense or
-    grid) picks for this size — both of those are themselves pinned
-    equal by the test suite.  Compares the sorted edge set and the link
-    events after every step; returns ``"ok"`` or a description of the
-    first mismatch.
+    The reference rebuilds the edge set with ``compute_edges`` (dense or
+    grid, as its cost model picks; both pinned equal by the test suite)
+    and diffs it with ``diff_edge_sets`` every step.  Compares the
+    sorted edge set and the link events after every step; returns
+    ``"ok"`` or a description of the first mismatch.  The default
+    ``steps`` spans several of the engine's validation cycles (about
+    every 8 steps at the recommended step): a run shorter than one
+    cycle never tests whether the engine revalidates in time.
     """
-    from ..spatial import select_connectivity_method
-
-    reference = select_connectivity_method(
-        params.n_nodes, params.tx_range, params.side
+    sim = Simulation(
+        params,
+        EpochRandomWaypointModel(params.velocity, epoch=1.0),
+        seed=seed,
     )
-    sims = [
-        Simulation(
-            params,
-            EpochRandomWaypointModel(params.velocity, epoch=1.0),
-            seed=seed,
-            connectivity=connectivity,
-        )
-        for connectivity in ("incremental", reference)
-    ]
-    if not np.array_equal(sims[0].edges, sims[1].edges):
-        return f"initial edge sets differ (vs {reference})"
+    reference = _BatchKernel(params, *_BATCH_KERNELS["edge"], seed=seed)
+    if not np.array_equal(sim.edges, reference.state):
+        return "initial edge sets differ (vs batch rebuild)"
     for step in range(1, steps + 1):
-        events = [sim.step() for sim in sims]
-        if not np.array_equal(sims[0].edges, sims[1].edges):
-            return f"edge sets differ at step {step} (vs {reference})"
+        events = sim.step()
+        expected = reference.step()
+        if not np.array_equal(sim.edges, reference.state):
+            return f"edge sets differ at step {step} (vs batch rebuild)"
         for field in ("generated", "broken"):
             if not np.array_equal(
-                getattr(events[0], field), getattr(events[1], field)
+                getattr(events, field), getattr(expected, field)
             ):
                 return (
                     f"{field} link events differ at step {step} "
-                    f"(vs {reference})"
+                    "(vs batch rebuild)"
                 )
     return "ok"
 
@@ -310,19 +292,14 @@ def bench_step_modes(
     for n_nodes in sorted(sizes):
         params = _params_for(n_nodes)
         per_size: dict[str, dict] = {}
-        if "edge" in modes:
-            per_size["edge"] = _bench_edge_engine(params, steps)
         if "incremental" in modes:
             equivalence[str(n_nodes)] = check_equivalence(params)
-            per_size["incremental"] = _bench_incremental_engine(
-                params, steps
-            )
-        dense_skipped = n_nodes > dense_limit
-        if "dense" in modes and not dense_skipped:
-            per_size["dense"] = _bench_dense_baseline(params, steps)
-        results.extend(
-            per_size[m] for m in DEFAULT_MODES if m in per_size
-        )
+        for token in DEFAULT_MODES:
+            if token in modes and not (
+                token == "dense" and n_nodes > dense_limit
+            ):
+                per_size[token] = _bench_mode(token, params, steps)
+        results.extend(per_size.values())
 
         def _ratios(baseline_token: str, skip_marker: str) -> dict:
             baseline = per_size.get(baseline_token)
@@ -467,8 +444,11 @@ def run_bench(
         "notes": [
             "dense-baseline re-implements the pre-edge-set kernel "
             "(per-step O(N^2) adjacency + matrix diff) inline",
-            "incremental-engine rows are preceded by a dual-engine "
-            "equivalence check (see the equivalence table)",
+            "edge-engine rebuilds the edge set with compute_edges "
+            "(method auto) + diff_edge_sets every step, inline",
+            "incremental-engine times Simulation.step; its rows are "
+            "preceded by a lockstep equivalence check against the "
+            "edge-engine rebuild (see the equivalence table)",
             "peak_rss_kb is process-monotone (getrusage); modes run "
             "smallest-N-first",
         ],

@@ -11,19 +11,18 @@ experiments and the test suite's structural assertions.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from ..clustering.base import ClusterState, Role
 from ..routing.inter_cluster import backbone_mask
-from ..spatial import adjacency_to_edges
+from ..spatial import adjacency_to_edges, edges_to_neighbor_lists
 
 __all__ = [
     "gateway_nodes",
     "backbone_nodes",
-    "backbone_graph",
     "backbone_reachability",
     "cluster_diameters",
     "head_separations",
@@ -43,19 +42,45 @@ def backbone_nodes(state: ClusterState, adjacency: np.ndarray) -> np.ndarray:
     return np.flatnonzero(backbone_mask(state, adjacency_to_edges(adjacency)))
 
 
-def backbone_graph(state: ClusterState, adjacency: np.ndarray) -> nx.Graph:
-    """The subgraph induced by the backbone nodes."""
+def _neighbor_lists(adjacency: np.ndarray) -> list[list[int]]:
     adjacency = np.asarray(adjacency, dtype=bool)
-    nodes = backbone_nodes(state, adjacency)
-    graph = nx.Graph()
-    graph.add_nodes_from(int(n) for n in nodes)
-    node_set = set(int(n) for n in nodes)
-    for u in node_set:
-        for v in np.flatnonzero(adjacency[u]):
-            v = int(v)
-            if v in node_set and u < v:
-                graph.add_edge(u, v)
-    return graph
+    edges = adjacency_to_edges(adjacency)
+    return edges_to_neighbor_lists(edges, len(adjacency))
+
+
+def _bfs_hops(
+    neighbors: list[list[int]], source: int, allowed: set[int] | None = None
+) -> dict[int, int]:
+    """Hop count from ``source`` to every node it reaches.
+
+    With ``allowed`` the walk stays inside that node set (which must
+    hold ``source``): the BFS of the induced subgraph.
+    """
+    hops = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for neighbor in neighbors[node]:
+            if neighbor in hops or (
+                allowed is not None and neighbor not in allowed
+            ):
+                continue
+            hops[neighbor] = hops[node] + 1
+            queue.append(neighbor)
+    return hops
+
+
+def _component_labels(
+    neighbors: list[list[int]], members: np.ndarray
+) -> np.ndarray:
+    """Connected-component label of each node of the subgraph induced by
+    the boolean mask ``members``; ``-1`` for nodes outside it."""
+    labels = np.full(len(neighbors), -1, dtype=np.int64)
+    allowed = set(np.flatnonzero(members).tolist())
+    for label, node in enumerate(sorted(allowed)):
+        if labels[node] < 0:
+            labels[list(_bfs_hops(neighbors, node, allowed))] = label
+    return labels
 
 
 def backbone_reachability(
@@ -69,20 +94,34 @@ def backbone_reachability(
     cluster-based flood, so values near 1 certify that restricting
     forwarding to the backbone loses (almost) nothing.
     """
-    adjacency = np.asarray(adjacency, dtype=bool)
-    full = nx.from_numpy_array(adjacency)
-    node_set = set(int(n) for n in backbone_nodes(state, adjacency))
-    rng = np.random.default_rng(rng)
+    neighbors = _neighbor_lists(adjacency)
     n = state.n_nodes
+    component = _component_labels(neighbors, np.ones(n, dtype=bool))
+    on_backbone = np.zeros(n, dtype=bool)
+    on_backbone[backbone_nodes(state, adjacency)] = True
+    backbone_component = _component_labels(neighbors, on_backbone)
+
+    def touched(node: int) -> set[int]:
+        # Backbone components a path may enter from ``node``: its own,
+        # or, for an off-backbone endpoint, its backbone neighbors'.
+        if on_backbone[node]:
+            return {int(backbone_component[node])}
+        return {
+            int(backbone_component[v])
+            for v in neighbors[node]
+            if on_backbone[v]
+        }
+
+    rng = np.random.default_rng(rng)
     connected = reachable = 0
     for _ in range(samples):
         u, v = (int(x) for x in rng.integers(0, n, 2))
-        if u == v or not nx.has_path(full, u, v):
+        if u == v or component[u] != component[v]:
             continue
         connected += 1
-        allowed = node_set | {u, v}
-        sub = full.subgraph(allowed)
-        if nx.has_path(sub, u, v):
+        # A direct link has no interior; otherwise the interior is one
+        # backbone component both endpoints touch.
+        if v in neighbors[u] or touched(u) & touched(v):
             reachable += 1
     if connected == 0:
         return float("nan")
@@ -97,18 +136,18 @@ def cluster_diameters(state: ClusterState, adjacency: np.ndarray) -> np.ndarray:
     Disconnected cluster subgraphs (possible for d-hop schemes whose
     members route through other clusters) report ``inf``.
     """
-    adjacency = np.asarray(adjacency, dtype=bool)
-    graph = nx.from_numpy_array(adjacency)
+    neighbors = _neighbor_lists(adjacency)
     diameters = []
     for head in state.heads():
-        nodes = [int(x) for x in state.cluster_nodes(int(head))]
-        sub = graph.subgraph(nodes)
-        if len(nodes) == 1:
-            diameters.append(0.0)
-        elif nx.is_connected(sub):
-            diameters.append(float(nx.diameter(sub)))
-        else:
-            diameters.append(float("inf"))
+        nodes = set(state.cluster_nodes(int(head)).tolist())
+        diameter = 0.0
+        for node in nodes:
+            hops = _bfs_hops(neighbors, node, nodes)
+            if len(hops) < len(nodes):
+                diameter = float("inf")
+                break
+            diameter = max(diameter, float(max(hops.values())))
+        diameters.append(diameter)
     return np.array(diameters)
 
 

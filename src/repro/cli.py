@@ -49,7 +49,8 @@ history and exits 1 when a point regresses more than the threshold
 against the best prior entry (regressions come with a per-phase
 attribution table when phase data is available).  ``bench --modes``
 picks which kernels run; whenever the incremental engine is among
-them, its dual-engine equivalence check gates the exit code too.
+them, its lockstep equivalence check against a batch rebuild gates the
+exit code too.
 
 Timeline tooling (see README, "Timelines & run comparison"):
 ``timeline`` exports a trace as Chrome trace-event JSON for
@@ -76,7 +77,6 @@ import sys
 from .core.lid_analysis import lid_head_probability
 from .core.overhead import overhead_breakdown
 from .core.params import NetworkParameters
-from .experiments import experiment_ids, run_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -1020,6 +1020,7 @@ def _run_simulate(args) -> int:
 
 
 def _run_run(args) -> int:
+    from .experiments import experiment_ids, run_experiment
     from .obs import AuditError
     from .store import use_store
 
@@ -1216,6 +1217,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     try:
         if args.command == "list":
+            from .experiments import experiment_ids
+
             for experiment_id in experiment_ids():
                 print(experiment_id)
             return 0

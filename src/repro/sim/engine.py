@@ -4,10 +4,11 @@ The paper validated its analysis with GloMoSim; this kernel is the
 Python substitute (see DESIGN.md, substitutions).  It advances a
 mobility model in fixed steps, maintains the exact unit-disk
 connectivity after every step as a sorted **edge set** (an ``(E, 2)``
-pair array — ``O(E)`` state instead of an ``O(N^2)`` matrix), diffs
-consecutive edge sets into link generation/break events in
-``O(E log E)``, and delivers those events — in deterministic order — to
-attached protocols (HELLO beaconing, clustering maintenance, routing).
+pair array — ``O(E)`` state instead of an ``O(N^2)`` matrix) through
+one :class:`~repro.spatial.IncrementalConnectivityEngine`, turns each
+step's change into link generation/break events, and delivers those
+events — in deterministic order — to attached protocols (HELLO
+beaconing, clustering maintenance, routing).
 A dense boolean :attr:`Simulation.adjacency` view is still available
 for consumers that index into a matrix; it is materialized lazily from
 the edge set and cached until the next step.  Graph walks use the
@@ -45,15 +46,13 @@ from ..obs.timing import PhaseTimer, TimingReport
 from ..spatial import (
     Boundary,
     IncrementalConnectivityEngine,
+    IncrementalStepResult,
     LinkEvents,
     SquareRegion,
-    UniformGridIndex,
-    compute_edges,
     degree_counts_from_edges,
     diff_edge_sets,
     edges_to_adjacency,
     edges_to_neighbor_lists,
-    select_connectivity_method,
 )
 from .stats import MessageStats
 
@@ -199,7 +198,9 @@ class Simulation:
     boundary:
         Region boundary rule; the paper's simulations wrap (torus).
     dt:
-        Step size; defaults to :func:`recommended_step`.
+        Step size; defaults to :func:`recommended_step`.  Any step is
+        exact; one far above it makes every step a full connectivity
+        validation (see :mod:`repro.spatial.incremental`).
     seed:
         Seed for mobility and any protocol randomness.
     tracer:
@@ -208,15 +209,6 @@ class Simulation:
     timer:
         Phase timer; defaults to the ambient context's shared timer,
         or a private one when none is configured.
-    connectivity:
-        How the per-step edge set is computed: ``"auto"`` (default)
-        lets the measured cost model pick, ``"grid"`` forces the
-        uniform grid index, ``"dense"`` forces the dense metric, and
-        ``"incremental"`` forces the temporal-coherence engine
-        (:class:`~repro.spatial.IncrementalConnectivityEngine`).  All
-        methods produce identical edge sets and link events; the knob
-        exists for benchmarking and for densities where the model's
-        assumptions break down.
     """
 
     _instance_ids = itertools.count()
@@ -230,7 +222,6 @@ class Simulation:
         seed: int | None = 0,
         tracer=None,
         timer: PhaseTimer | None = None,
-        connectivity: str = "auto",
     ) -> None:
         self.params = params
         self.region = SquareRegion(params.side, boundary)
@@ -284,45 +275,16 @@ class Simulation:
         self._signal_taps: list = []
 
         self.mobility.reset(params.n_nodes, self.region, seed)
-        if connectivity == "auto":
-            connectivity = select_connectivity_method(
-                params.n_nodes,
-                params.tx_range,
-                self.region.side,
-                velocity=params.velocity,
-                dt=self.dt,
-            )
-        if connectivity not in ("dense", "grid", "incremental"):
-            raise ValueError(
-                "connectivity must be 'auto', 'dense', 'grid' or "
-                f"'incremental', got {connectivity!r}"
-            )
-        self.connectivity = connectivity
-        self._index: UniformGridIndex | None = None
-        self._incremental: IncrementalConnectivityEngine | None = None
-        if connectivity == "grid":
-            self._index = UniformGridIndex(self.region, params.tx_range)
-        elif connectivity == "incremental":
-            self._incremental = IncrementalConnectivityEngine(
-                self.region, params.tx_range
-            )
+        self._incremental = IncrementalConnectivityEngine(
+            self.region, params.tx_range
+        )
         #: Radio state per node; failed nodes keep moving but hold no links.
         self.active = np.ones(params.n_nodes, dtype=bool)
         #: Whether every radio was active at the end of the previous
         #: step; the incremental fast-path events are only valid when no
         #: external masking happened on either side of the diff.
         self._prev_all_active = True
-        if self._incremental is not None:
-            initial = self._incremental.step(self.mobility.positions).edges
-        else:
-            initial = compute_edges(
-                self.region,
-                self.mobility.positions,
-                params.tx_range,
-                self._index,
-                method=connectivity,
-            )
-        self.edges = self._mask_failed(initial)
+        self.edges = self._connect(self.mobility.positions).edges
         # The first step's events diff this edge set (see _advance_edges).
         self._edges_from_step = True
         logger.debug(
@@ -575,14 +537,12 @@ class Simulation:
         special crash handling is required of them.
         """
         self.active[node] = False
-        if self._incremental is not None:
-            self._incremental.invalidate()
+        self._incremental.invalidate()
 
     def recover_node(self, node: int) -> None:
         """Bring ``node``'s radio back; links re-form at the next step."""
         self.active[node] = True
-        if self._incremental is not None:
-            self._incremental.invalidate()
+        self._incremental.invalidate()
 
     @property
     def failed_nodes(self) -> np.ndarray:
@@ -618,6 +578,14 @@ class Simulation:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
+    def _connect(self, positions: np.ndarray) -> IncrementalStepResult:
+        """Unmasked unit-disk edge set at ``positions``: the engine's step.
+
+        Its ``events``, when not ``None``, diff the previous call's
+        edge set.  The one connectivity seam of :meth:`step`.
+        """
+        return self._incremental.step(positions)
+
     def step(self) -> LinkEvents:
         """Advance one step and deliver link events; returns the events."""
         timer = self.timer
@@ -636,44 +604,22 @@ class Simulation:
             timer.add("faults", t1b - t1)
             t1 = t1b
         all_active = bool(self.active.all())
-        if self._incremental is not None:
-            result = self._incremental.step(positions)
-            new_edges = self._mask_failed(result.edges)
-            t2 = perf_counter()
-            # The engine's mask-diff events describe the *unmasked*
-            # connectivity; they stand in for diff_edge_sets only while
-            # no radio was failed on either side of the diff.
-            if (
-                result.events is not None
-                and all_active
-                and self._prev_all_active
-            ):
-                events = result.events
-            else:
-                events = diff_edge_sets(self.edges, new_edges)
-            t3 = perf_counter()
-            # Keep the sub-phases disjoint: "adjacency" is the engine
-            # step minus the revalidation portion, which gets its own
-            # label so the attribution stays honest.
-            timer.add("adjacency", (t2 - t1) - result.revalidate_seconds)
-            if not result.rebuilt:
-                timer.add(
-                    "incremental_revalidate", result.revalidate_seconds
-                )
-        else:
-            new_edges = self._mask_failed(
-                compute_edges(
-                    self.region,
-                    positions,
-                    self.params.tx_range,
-                    self._index,
-                    method=self.connectivity,
-                )
-            )
-            t2 = perf_counter()
+        result = self._connect(positions)
+        new_edges = self._mask_failed(result.edges)
+        t2 = perf_counter()
+        # The engine's mask-diff events describe the *unmasked*
+        # connectivity; they stand in for diff_edge_sets only while no
+        # radio was failed on either side of the diff.
+        events = result.events
+        if events is None or not (all_active and self._prev_all_active):
             events = diff_edge_sets(self.edges, new_edges)
-            t3 = perf_counter()
-            timer.add("adjacency", t2 - t1)
+        t3 = perf_counter()
+        # Keep the sub-phases disjoint: "adjacency" is the engine step
+        # minus the revalidation portion, which gets its own label so
+        # the attribution stays honest.
+        timer.add("adjacency", (t2 - t1) - result.revalidate_seconds)
+        if not result.rebuilt:
+            timer.add("incremental_revalidate", result.revalidate_seconds)
         self._prev_all_active = all_active
         # Applying the diff to the neighbor index is charged to the diff.
         t4 = perf_counter()
@@ -755,7 +701,7 @@ class Simulation:
         ``broken``/``generated`` diff the previous edge set against
         ``new_edges``.  That holds for the edge set the last step
         installed, but not for one assigned from outside: the
-        incremental engine diffs against its own previous snapshot.  So
+        connectivity engine diffs against its own previous snapshot.  So
         lists are only carried over from a step-installed edge set, and
         otherwise rebuilt on next access.
         """

@@ -2,11 +2,13 @@
 
 from .region import Boundary, SquareRegion
 from .grid_index import UniformGridIndex
-from .incremental import IncrementalConnectivityEngine, IncrementalStepResult
+from .incremental import (
+    INCREMENTAL_MARGIN_FRACTION,
+    IncrementalConnectivityEngine,
+    IncrementalStepResult,
+)
 from .neighbors import (
     GRID_CROSSOVER_NODES,
-    INCREMENTAL_MARGIN_FRACTION,
-    INCREMENTAL_MIN_AMORTIZED_STEPS,
     LinkEvents,
     adjacency_to_edges,
     compute_adjacency,
@@ -28,7 +30,6 @@ __all__ = [
     "IncrementalStepResult",
     "GRID_CROSSOVER_NODES",
     "INCREMENTAL_MARGIN_FRACTION",
-    "INCREMENTAL_MIN_AMORTIZED_STEPS",
     "LinkEvents",
     "adjacency_to_edges",
     "compute_adjacency",

@@ -5,14 +5,17 @@ the dense ``O(N^2)`` distance matrix is exact but wasteful once
 ``r << a``.  The :class:`UniformGridIndex` bins nodes into cells of side
 ``>= r`` so that all neighbors of a node lie in its 3x3 cell
 neighborhood (torus-aware when the region wraps), bringing expected
-query cost down to ``O(density * r^2)`` per node.
+pair-test cost down to ``O(density * r^2)`` per node.
 
-:meth:`UniformGridIndex.neighbor_pairs` is the canonical bulk output:
-a sorted ``(E, 2)`` edge array computed by a *batched cell-pair sweep*
-— every occupied cell is paired with its half stencil in one CSR-style
-vectorized expansion, with no per-node Python loop and no dense matrix
-reconstruction.  The dense :meth:`adjacency` view is derived from the
-edge set for consumers that still index into a matrix.
+The index has two consumers and serves both through one *batched
+cell-pair sweep* (:meth:`UniformGridIndex.candidate_pairs_raw`): every
+occupied cell is paired with its half stencil in one CSR-style
+vectorized expansion, with no per-node Python loop.  The one-shot
+:func:`~repro.spatial.neighbors.compute_edges` distance-filters the
+sweep into a sorted ``(E, 2)`` edge array
+(:meth:`UniformGridIndex.neighbor_pairs`); the incremental engine
+(:mod:`repro.spatial.incremental`) keeps an index at its expanded
+candidate radius, maintained in place by :meth:`UniformGridIndex.update`.
 
 The index returns exactly the same neighbor sets as the dense metric;
 tests assert this equivalence property.
@@ -74,21 +77,19 @@ class UniformGridIndex:
         self.cells_per_side = max(1, int(math.floor(region.side / tx_range)))
         self.cell_size = region.side / self.cells_per_side
         self._positions: np.ndarray | None = None
-        self._cell_of: np.ndarray | None = None
         self._flat: np.ndarray | None = None
         self._order: np.ndarray | None = None
         self._start: np.ndarray | None = None
         self._counts: np.ndarray | None = None
         self._sortkey: np.ndarray | None = None
-        self._buckets: dict[tuple[int, int], np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    def _bin(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell coordinates and flat cell ids for ``pos`` (shared by
-        rebuild and update so both paths bin identically)."""
+    def _bin(self, pos: np.ndarray) -> np.ndarray:
+        """Flat cell ids for ``pos`` (shared by rebuild and update so
+        both paths bin identically)."""
         cells = np.floor(pos / self.cell_size).astype(np.int64)
         np.clip(cells, 0, self.cells_per_side - 1, out=cells)
-        return cells, cells[:, 0] * self.cells_per_side + cells[:, 1]
+        return cells[:, 0] * self.cells_per_side + cells[:, 1]
 
     def rebuild(self, positions: np.ndarray) -> None:
         """(Re)index the given positions."""
@@ -96,8 +97,7 @@ class UniformGridIndex:
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError(f"positions must be (N, 2), got shape {pos.shape}")
         self._positions = pos
-        cells, flat = self._bin(pos)
-        self._cell_of = cells
+        flat = self._bin(pos)
         self._flat = flat
         self._order = np.argsort(flat, kind="stable")
         self._counts = np.bincount(flat, minlength=self.cells_per_side**2)
@@ -105,10 +105,6 @@ class UniformGridIndex:
         # Stable argsort of flat == sort by (cell, node id); keeping the
         # composite key lets update() repair the order by sorted merge.
         self._sortkey = flat[self._order] * np.int64(len(pos)) + self._order
-        # Per-cell buckets are only needed by single-node queries; they
-        # are materialized lazily so bulk rebuild+pair sweeps skip the
-        # per-cell Python loop entirely.
-        self._buckets = None
 
     def update(self, positions: np.ndarray) -> int:
         """Incrementally re-index, re-binning only nodes that changed cell.
@@ -133,11 +129,10 @@ class UniformGridIndex:
             self.rebuild(pos)
             return len(pos)
         n = len(pos)
-        cells, flat = self._bin(pos)
+        flat = self._bin(pos)
         changed = np.flatnonzero(flat != self._flat)
         self._positions = pos
         if changed.size == 0:
-            self._cell_of = cells
             return 0
         if changed.size * 4 > n:
             self.rebuild(pos)
@@ -159,67 +154,8 @@ class UniformGridIndex:
         slots = np.searchsorted(base_keys, ins_keys)
         self._order = np.insert(base_order, slots, changed[ins_sort])
         self._sortkey = np.insert(base_keys, slots, ins_keys)
-        self._cell_of = cells
         self._flat = flat
-        self._buckets = None
         return int(changed.size)
-
-    def _bucket_map(self) -> dict[tuple[int, int], np.ndarray]:
-        if self._buckets is None:
-            buckets: dict[tuple[int, int], np.ndarray] = {}
-            start = self._start
-            for flat in np.flatnonzero(np.diff(start)):
-                cx, cy = divmod(int(flat), self.cells_per_side)
-                buckets[(cx, cy)] = self._order[start[flat] : start[flat + 1]]
-            self._buckets = buckets
-        return self._buckets
-
-    # ------------------------------------------------------------------
-    def _candidate_indices(self, cell: tuple[int, int]) -> np.ndarray:
-        """Node indices in the 3x3 cell stencil around ``cell``."""
-        cx, cy = cell
-        wrap = self.region.boundary is Boundary.TORUS
-        buckets = self._bucket_map()
-        chunks = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                nx, ny = cx + dx, cy + dy
-                if wrap:
-                    nx %= self.cells_per_side
-                    ny %= self.cells_per_side
-                elif not (
-                    0 <= nx < self.cells_per_side and 0 <= ny < self.cells_per_side
-                ):
-                    continue
-                bucket = buckets.get((nx, ny))
-                if bucket is not None:
-                    chunks.append(bucket)
-        if not chunks:
-            return np.empty(0, dtype=int)
-        candidates = np.concatenate(chunks)
-        if wrap and self.cells_per_side <= 2:
-            # With one or two cells per side the wrapped offsets -1 and
-            # +1 alias the same cell, so the stencil revisits cells;
-            # deduplicate.  Three or more cells per side make all nine
-            # wrapped stencil cells distinct.
-            candidates = np.unique(candidates)
-        return candidates
-
-    def neighbors_of(self, index: int, radius: float | None = None) -> np.ndarray:
-        """Indices of nodes within ``radius`` of node ``index`` (excl. self)."""
-        if self._positions is None:
-            raise RuntimeError("index not built; call rebuild() first")
-        radius = self.tx_range if radius is None else radius
-        if radius > self.tx_range:
-            raise ValueError(
-                f"query radius {radius} exceeds index radius {self.tx_range}"
-            )
-        candidates = self._candidate_indices(tuple(self._cell_of[index]))
-        dist = self.region.distance(
-            self._positions[index], self._positions[candidates]
-        )
-        mask = (dist <= radius) & (candidates != index)
-        return candidates[mask]
 
     def candidate_pairs_raw(self) -> tuple[np.ndarray, np.ndarray]:
         """Raw stencil candidate pairs ``(i, j)``, unfiltered.
@@ -282,22 +218,14 @@ class UniformGridIndex:
             order[np.concatenate(right_chunks)],
         )
 
-    def neighbor_pairs(
-        self, radius: float | None = None, return_distances: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    def neighbor_pairs(self, radius: float | None = None) -> np.ndarray:
         """All unordered neighbor pairs as a sorted ``(E, 2)`` edge array.
 
         Pairs are returned with ``i < j`` and in lexicographic order so
         results are deterministic, directly diffable as edge sets, and
-        comparable to the dense adjacency.  With ``return_distances``
-        the matching ``(E,)`` distance array rides along (used by the
-        incremental engine to seed its candidate cache without a second
-        distance pass).
-
-        The computation is batched over *cell pairs*: within-cell pairs
-        plus the four half-stencil neighbor cells of every node's cell,
-        expanded CSR-style into one candidate array, distance-filtered
-        in a single vectorized pass.
+        comparable to the dense adjacency.  The candidates of
+        :meth:`candidate_pairs_raw` are distance-filtered in a single
+        vectorized pass.
         """
         if self._positions is None:
             raise RuntimeError("index not built; call rebuild() first")
@@ -307,48 +235,24 @@ class UniformGridIndex:
                 f"query radius {radius} exceeds index radius {self.tx_range}"
             )
         n = len(self._positions)
-        m = self.cells_per_side
-        wrap = self.region.boundary is Boundary.TORUS
         i, j = self.candidate_pairs_raw()
         if not len(i):
-            empty = np.empty((0, 2), dtype=np.int64)
-            if return_distances:
-                return empty, np.empty(0, dtype=float)
-            return empty
+            return np.empty((0, 2), dtype=np.int64)
         dist = self.region.distance(self._positions[i], self._positions[j])
         keep = dist <= radius
-        if wrap and m <= 2:
+        aliased = (
+            self.region.boundary is Boundary.TORUS and self.cells_per_side <= 2
+        )
+        if aliased:
             # Aliased wrapped offsets can pair a cell with itself,
             # producing self-pairs; drop them before canonicalizing.
             keep &= i != j
         i, j = i[keep], j[keep]
         keys = np.minimum(i, j) * n + np.maximum(i, j)
-        if not return_distances:
-            if wrap and m <= 2:
-                # Aliased offsets also revisit the same cell pair, so the
-                # same edge can be emitted more than once.
-                keys = np.unique(keys)
-            else:
-                keys.sort()
-            return np.column_stack((keys // n, keys % n))
-        dist = dist[keep]
-        if wrap and m <= 2:
-            keys, first = np.unique(keys, return_index=True)
-            dist = dist[first]
+        if aliased:
+            # Aliased offsets also revisit the same cell pair, so the
+            # same edge can be emitted more than once.
+            keys = np.unique(keys)
         else:
-            rank = np.argsort(keys, kind="stable")
-            keys = keys[rank]
-            dist = dist[rank]
-        return np.column_stack((keys // n, keys % n)), dist
-
-    def adjacency(self, radius: float | None = None) -> np.ndarray:
-        """Dense boolean adjacency reconstructed from the edge set."""
-        if self._positions is None:
-            raise RuntimeError("index not built; call rebuild() first")
-        n = len(self._positions)
-        adj = np.zeros((n, n), dtype=bool)
-        pairs = self.neighbor_pairs(radius)
-        if len(pairs):
-            adj[pairs[:, 0], pairs[:, 1]] = True
-            adj[pairs[:, 1], pairs[:, 0]] = True
-        return adj
+            keys.sort()
+        return np.column_stack((keys // n, keys % n))

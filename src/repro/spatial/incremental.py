@@ -44,6 +44,12 @@ same displacement test (the region metric bounds the torus shortcut
 correctly), and :meth:`IncrementalConnectivityEngine.invalidate` lets
 the simulation force a validation on external events such as
 ``fail_node``/``recover_node``.
+
+This is the simulation's only connectivity kernel: every
+:class:`~repro.sim.Simulation` steps through one engine, whatever its
+size, density or step.  A step far above ``recommended_step`` moves
+nodes past the margin every step, so every step is a full validation;
+that stays exact and costs about one grid rebuild (README, Performance).
 """
 
 from __future__ import annotations
@@ -54,13 +60,21 @@ from time import perf_counter
 import numpy as np
 
 from .grid_index import UniformGridIndex
-from .neighbors import INCREMENTAL_MARGIN_FRACTION, LinkEvents
+from .neighbors import LinkEvents
 from .region import Boundary, SquareRegion
 
 __all__ = [
+    "INCREMENTAL_MARGIN_FRACTION",
     "IncrementalConnectivityEngine",
     "IncrementalStepResult",
 ]
+
+#: Candidate-cache margin of the engine, as a fraction of ``tx_range``:
+#: candidates are cached out to ``(1 + fraction) * tx_range``.  A wider
+#: margin amortizes full validations over more steps but inflates the
+#: per-step candidate set; 0.5 balances the two at the paper's default
+#: velocities (see the README Performance section).
+INCREMENTAL_MARGIN_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -91,28 +105,16 @@ class IncrementalConnectivityEngine:
         Square region whose metric (torus or Euclidean) governs
         distances.
     tx_range:
-        Unit-disk transmission range.
-    margin_fraction:
-        Candidate radius is ``(1 + margin_fraction) * tx_range``.  A
-        larger margin buys more steps between full validations at the
-        cost of a bigger candidate set per step.
+        Unit-disk transmission range.  Candidates are cached out to
+        ``(1 + INCREMENTAL_MARGIN_FRACTION) * tx_range``.
     """
 
-    def __init__(
-        self,
-        region: SquareRegion,
-        tx_range: float,
-        margin_fraction: float = INCREMENTAL_MARGIN_FRACTION,
-    ) -> None:
+    def __init__(self, region: SquareRegion, tx_range: float) -> None:
         if tx_range <= 0.0:
             raise ValueError(f"tx_range must be positive, got {tx_range}")
-        if margin_fraction <= 0.0:
-            raise ValueError(
-                f"margin_fraction must be positive, got {margin_fraction}"
-            )
         self.region = region
         self.tx_range = float(tx_range)
-        self.margin = margin_fraction * self.tx_range
+        self.margin = INCREMENTAL_MARGIN_FRACTION * self.tx_range
         # Slack subtracted from every safe-band test: borderline pairs
         # fall through to the recompute path, whose result is bit-exact
         # against the batch engine, so float rounding can never flip a

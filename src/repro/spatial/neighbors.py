@@ -15,9 +15,13 @@ matrices remain available as a derived view (:func:`edges_to_adjacency`,
 :func:`compute_adjacency`) for clustering/routing consumers that index
 into a matrix.
 
-Whether an edge set is computed through the dense metric or the uniform
-grid index is decided by a measured cost model (see
-:data:`GRID_CROSSOVER_NODES`).
+:func:`compute_edges` is the *one-shot* path: it computes an edge set
+from scratch, through the dense metric or the uniform grid index as a
+measured cost model decides (see :data:`GRID_CROSSOVER_NODES`).  The
+simulation steps through the incremental engine instead
+(:mod:`repro.spatial.incremental`); a ``compute_edges`` rebuild plus
+:func:`diff_edge_sets` every step is the batch reference the tests and
+``repro-manet bench`` hold it to.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from .region import SquareRegion
 
 __all__ = [
     "GRID_CROSSOVER_NODES",
-    "INCREMENTAL_MARGIN_FRACTION",
-    "INCREMENTAL_MIN_AMORTIZED_STEPS",
     "MIN_GRID_CELLS_PER_SIDE",
     "LinkEvents",
     "adjacency_to_edges",
@@ -62,20 +64,6 @@ GRID_CROSSOVER_NODES = 100
 #: the region, so the grid degenerates into a slower dense scan.
 MIN_GRID_CELLS_PER_SIDE = 4
 
-#: Default candidate-cache margin of the incremental engine, as a
-#: fraction of ``tx_range``: candidates are cached out to
-#: ``(1 + fraction) * tx_range``.  A wider margin amortizes full
-#: validations over more steps but inflates the per-step candidate set;
-#: 0.5 balances the two at the paper's default velocities (see the
-#: README Performance section).
-INCREMENTAL_MARGIN_FRACTION = 0.5
-
-#: The incremental engine only pays off if the margin buys at least
-#: this many steps between full validations (worst case every pair
-#: closes at ``2 * velocity`` per unit time).
-INCREMENTAL_MIN_AMORTIZED_STEPS = 4
-
-
 @dataclass(frozen=True)
 class LinkEvents:
     """Link changes between two consecutive connectivity snapshots.
@@ -104,44 +92,19 @@ class LinkEvents:
 
 
 def select_connectivity_method(
-    n_nodes: int,
-    tx_range: float,
-    side: float,
-    velocity: float | None = None,
-    dt: float | None = None,
+    n_nodes: int, tx_range: float, side: float
 ) -> str:
-    """Pick ``"dense"``, ``"grid"`` or ``"incremental"`` connectivity.
+    """Pick ``"dense"`` or ``"grid"`` for a one-shot edge-set recompute.
 
     The grid wins over the dense metric once the network is large
     (``n_nodes`` above the measured :data:`GRID_CROSSOVER_NODES`) *and*
     sparse enough that the 3x3 stencil prunes most pairs (at least
     :data:`MIN_GRID_CELLS_PER_SIDE` cells per side, i.e.
     ``tx_range * 4 <= side``).
-
-    When the caller also supplies ``velocity`` and ``dt`` (the
-    simulation does; one-shot recomputes do not), the incremental
-    engine is preferred over the grid whenever temporal coherence pays:
-    the *expanded* candidate radius must still be sparse, and the
-    per-step displacement bound ``2 * velocity * dt`` must be small
-    enough that the candidate margin amortizes a full validation over
-    at least :data:`INCREMENTAL_MIN_AMORTIZED_STEPS` steps.  Static
-    networks (``velocity == 0``) always qualify.  Without the mobility
-    kwargs the historical dense/grid behavior is unchanged.
     """
     sparse_enough = tx_range * MIN_GRID_CELLS_PER_SIDE <= side
     if n_nodes <= GRID_CROSSOVER_NODES or not sparse_enough:
         return "dense"
-    if velocity is not None and dt is not None:
-        margin = INCREMENTAL_MARGIN_FRACTION * tx_range
-        expanded_sparse = (
-            (tx_range + margin) * MIN_GRID_CELLS_PER_SIDE <= side
-        )
-        step_churn = 2.0 * velocity * dt
-        if (
-            expanded_sparse
-            and step_churn * INCREMENTAL_MIN_AMORTIZED_STEPS <= margin
-        ):
-            return "incremental"
     return "grid"
 
 
@@ -182,21 +145,15 @@ def compute_edges(
     region: SquareRegion,
     positions: np.ndarray,
     tx_range: float,
-    index: UniformGridIndex | None = None,
     method: str = "auto",
 ) -> np.ndarray:
     """Sorted unit-disk edge set of ``positions`` under the region metric.
 
-    If ``index`` is given it is rebuilt and used regardless of
-    ``method``; otherwise ``method`` selects the dense metric
-    (``"dense"``), a throwaway grid index (``"grid"``), or the measured
-    cost model (``"auto"``, the default).  Every path returns the
-    identical edge array.
+    ``method`` selects the dense metric (``"dense"``), a throwaway grid
+    index (``"grid"``), or the measured cost model (``"auto"``, the
+    default).  Every path returns the identical edge array.
     """
     pos = np.asarray(positions, dtype=float)
-    if index is not None:
-        index.rebuild(pos)
-        return index.neighbor_pairs(tx_range)
     if method == "auto":
         method = select_connectivity_method(len(pos), tx_range, region.side)
     if method == "grid":
@@ -211,10 +168,7 @@ def compute_edges(
 
 
 def compute_adjacency(
-    region: SquareRegion,
-    positions: np.ndarray,
-    tx_range: float,
-    index: UniformGridIndex | None = None,
+    region: SquareRegion, positions: np.ndarray, tx_range: float
 ) -> np.ndarray:
     """Unit-disk adjacency of ``positions`` under the region metric.
 
@@ -223,9 +177,6 @@ def compute_adjacency(
     boolean matrix.
     """
     pos = np.asarray(positions, dtype=float)
-    if index is not None:
-        index.rebuild(pos)
-        return index.adjacency(tx_range)
     method = select_connectivity_method(len(pos), tx_range, region.side)
     if method == "grid":
         return edges_to_adjacency(

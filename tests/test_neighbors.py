@@ -9,7 +9,6 @@ from repro.spatial import (
     Boundary,
     LinkEvents,
     SquareRegion,
-    UniformGridIndex,
     compute_adjacency,
     degree_counts,
     diff_adjacency,
@@ -20,14 +19,6 @@ class TestComputeAdjacency:
     def test_dense_path(self, unit_torus, rng):
         positions = unit_torus.uniform_positions(100, rng)
         adjacency = compute_adjacency(unit_torus, positions, 0.2)
-        np.testing.assert_array_equal(
-            adjacency, unit_torus.adjacency(positions, 0.2)
-        )
-
-    def test_explicit_index_path(self, unit_torus, rng):
-        positions = unit_torus.uniform_positions(100, rng)
-        index = UniformGridIndex(unit_torus, 0.2)
-        adjacency = compute_adjacency(unit_torus, positions, 0.2, index)
         np.testing.assert_array_equal(
             adjacency, unit_torus.adjacency(positions, 0.2)
         )

@@ -1,13 +1,17 @@
-"""Tests for clustered-topology structural metrics."""
+"""Tests for clustered-topology structural metrics.
+
+The metrics walk graphs by BFS over neighbor lists; networkx, a test
+dependency only, is the reference they are pinned to.
+"""
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.analysis.topology import (
     StructureSummary,
-    backbone_graph,
     backbone_nodes,
     backbone_reachability,
     cluster_diameters,
@@ -50,17 +54,6 @@ class TestGateways:
 
 
 class TestBackboneGraph:
-    def test_graph_nodes_match(self, clustered):
-        _, _, adjacency, state = clustered
-        graph = backbone_graph(state, adjacency)
-        assert set(graph.nodes) == set(backbone_nodes(state, adjacency).tolist())
-
-    def test_edges_are_real_links(self, clustered):
-        _, _, adjacency, state = clustered
-        graph = backbone_graph(state, adjacency)
-        for u, v in graph.edges:
-            assert adjacency[u, v]
-
     def test_reachability_near_one_for_dense_lid(self, clustered):
         _, _, adjacency, state = clustered
         value = backbone_reachability(state, adjacency, samples=150, rng=0)
@@ -103,6 +96,83 @@ class TestDiametersAndSeparation:
         region = SquareRegion(1.0, Boundary.OPEN)
         positions = region.uniform_positions(3, 0)
         assert len(head_separations(state, positions, region)) == 0
+
+
+def _nx_backbone_reachability(state, adjacency, samples, rng):
+    full = nx.from_numpy_array(adjacency)
+    node_set = set(int(n) for n in backbone_nodes(state, adjacency))
+    rng = np.random.default_rng(rng)
+    connected = reachable = 0
+    for _ in range(samples):
+        u, v = (int(x) for x in rng.integers(0, state.n_nodes, 2))
+        if u == v or not nx.has_path(full, u, v):
+            continue
+        connected += 1
+        if nx.has_path(full.subgraph(node_set | {u, v}), u, v):
+            reachable += 1
+    return reachable / connected if connected else float("nan")
+
+
+def _nx_cluster_diameters(state, adjacency):
+    graph = nx.from_numpy_array(adjacency)
+    diameters = []
+    for head in state.heads():
+        sub = graph.subgraph(int(x) for x in state.cluster_nodes(int(head)))
+        if nx.is_connected(sub):
+            diameters.append(float(nx.diameter(sub)))
+        else:
+            diameters.append(float("inf"))
+    return np.array(diameters)
+
+
+def _random_state(n, n_heads, seed):
+    """Heads drawn at random, every other node affiliated at random:
+    clusters with no geometric meaning, so often disconnected."""
+    rng = np.random.default_rng(seed)
+    heads = rng.choice(n, size=n_heads, replace=False)
+    head_of = heads[rng.integers(0, n_heads, n)]
+    head_of[heads] = heads
+    roles = np.full(n, Role.MEMBER, dtype=np.int8)
+    roles[heads] = Role.HEAD
+    return ClusterState(roles, head_of)
+
+
+def _states(seed):
+    """One-hop, 2-hop and random states on one random unit-disk graph."""
+    region = SquareRegion(1.0, Boundary.OPEN)
+    n = 40 + 20 * (seed % 4)
+    adjacency = region.adjacency(
+        region.uniform_positions(n, seed), 0.12 + 0.02 * (seed % 5)
+    )
+    return adjacency, [
+        LowestIdClustering().form(adjacency),
+        MaxMinDCluster(2).form(adjacency),
+        _random_state(n, 3 + seed % 7, seed),
+    ]
+
+
+class TestNetworkxReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reachability_matches_networkx(self, seed):
+        adjacency, states = _states(seed)
+        for state in states:
+            assert backbone_reachability(
+                state, adjacency, samples=120, rng=seed
+            ) == pytest.approx(
+                _nx_backbone_reachability(state, adjacency, 120, seed),
+                nan_ok=True,
+            )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_diameters_match_networkx(self, seed):
+        adjacency, states = _states(seed)
+        for state in states:
+            np.testing.assert_array_equal(
+                cluster_diameters(state, adjacency),
+                _nx_cluster_diameters(state, adjacency),
+            )
+        # The random state has disconnected clusters, which report inf.
+        assert np.isinf(cluster_diameters(states[2], adjacency)).any()
 
 
 class TestSummary:
